@@ -42,12 +42,13 @@ test:
 # matrix, the cluster gateway (ring, breakers, quorum replication, fault
 # matrix) with its daemon, the parallel-pipeline determinism suite, the
 # reduced-IDCT kernels and transform planner (parallel scaled decode +
-# worker-count determinism), and the restart-segment and scaled-decode
-# parallel plane fills under -race.
+# worker-count determinism), the restart-segment and scaled-decode
+# parallel plane fills, and concurrent encodes of one shared image plus the
+# banded forward path under -race.
 race:
 	$(GO) test -race -count=1 ./internal/psp/... ./internal/servecache/... ./internal/faults/... ./internal/blobstore/... ./internal/cluster/... ./internal/admission/... ./internal/stats/... ./internal/loadgen/... ./internal/searchidx/... ./internal/dct/... ./internal/transform/... ./cmd/pspd/... ./cmd/pspgw/...
 	$(GO) test -race -count=1 -run 'TestParallelDeterminism' .
-	$(GO) test -race -count=1 -run 'TestRestart|TestToPlanarScaled' ./internal/jpegc
+	$(GO) test -race -count=1 -run 'TestRestart|TestToPlanarScaled|TestEncodeConcurrent|TestFromStdImage' ./internal/jpegc
 
 # cluster-e2e runs the full crash/partition e2e on its own: a real 3-shard
 # cluster behind the gateway, one shard SIGKILLed mid-traffic, an asymmetric
@@ -70,11 +71,13 @@ cluster-demo: build
 	wait'
 
 # fuzz-smoke gives each fuzz target a short budget so `make check` exercises
-# the decoders against the native fuzzer on every run (corpus regressions
+# the decoders and the encoder round trip against the native fuzzer on
+# every run (corpus regressions
 # under testdata/ always run as plain tests regardless).
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/jpegc
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/jpegc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePublicData$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime $(FUZZTIME) ./internal/blobstore
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime $(FUZZTIME) ./internal/transform

@@ -15,11 +15,12 @@ import "math"
 // inverse butterfly expects S(r,c) * aan[r] * aan[c] / 8 and emits spatial
 // samples directly.
 //
-// ForwardReference/InverseReference (transform.go) remain the equivalence
-// oracle; TestFastForwardMatchesReference and friends pin the fast kernel
-// to it, and quantizeFolded falls back to the reference basis for the rare
-// coefficients that land within epsilon of a rounding boundary, making the
-// quantized fast path bit-identical to the reference path by construction.
+// The naive reference transforms (reference_test.go) remain the
+// equivalence oracle; TestFastForwardMatchesReference and friends pin the
+// fast kernel to them, and ForwardQuantizer falls back to the reference
+// basis for the rare coefficients that land within epsilon of a rounding
+// boundary, making the quantized fast path bit-identical to the reference
+// path by construction.
 
 // AAN butterfly constants (cosines at multiples of pi/16).
 const (
@@ -52,19 +53,22 @@ func init() {
 	}
 }
 
-// fdctAAN runs the 2-D AAN forward butterfly in place: rows, then columns.
-// Output is the scaled coefficient block (orthonormal * 8*aan[r]*aan[c]).
-func fdctAAN(d *FloatBlock) {
+// fdctAAN runs the 2-D AAN forward butterfly from src into d: rows, then
+// columns. Output is the scaled coefficient block (orthonormal *
+// 8*aan[r]*aan[c]). The row pass reads src and writes d, so src survives
+// (the quantizer's boundary fallback needs the spatial samples); d may be
+// src for an in-place transform.
+func fdctAAN(d, src *FloatBlock) {
 	// Row pass.
 	for i := 0; i < BlockLen; i += BlockSize {
-		tmp0 := d[i+0] + d[i+7]
-		tmp7 := d[i+0] - d[i+7]
-		tmp1 := d[i+1] + d[i+6]
-		tmp6 := d[i+1] - d[i+6]
-		tmp2 := d[i+2] + d[i+5]
-		tmp5 := d[i+2] - d[i+5]
-		tmp3 := d[i+3] + d[i+4]
-		tmp4 := d[i+3] - d[i+4]
+		tmp0 := src[i+0] + src[i+7]
+		tmp7 := src[i+0] - src[i+7]
+		tmp1 := src[i+1] + src[i+6]
+		tmp6 := src[i+1] - src[i+6]
+		tmp2 := src[i+2] + src[i+5]
+		tmp5 := src[i+2] - src[i+5]
+		tmp3 := src[i+3] + src[i+4]
+		tmp4 := src[i+3] - src[i+4]
 
 		// Even part.
 		tmp10 := tmp0 + tmp3
@@ -226,7 +230,7 @@ func idctAAN(d *FloatBlock) {
 }
 
 // quantBoundaryEps is the distance from a round-half boundary below which
-// quantizeFolded defers to the reference basis. The fast and reference
+// ForwardQuantizer defers to the reference basis. The fast and reference
 // paths compute the same mathematical value to ~1e-11 absolute error over
 // the JPEG input domain, so any disagreement in rounding requires the
 // scaled value to sit within that distance of a boundary — far inside this
@@ -249,23 +253,73 @@ func refCoefficient(spatial *FloatBlock, v, c int) float64 {
 	return sum * alpha[v] / 2
 }
 
-// quantizeFolded rounds scaled butterfly outputs through folded
-// scale-and-quantize multipliers, deferring to the reference basis near
-// rounding boundaries.
-func quantizeFolded(scaled, spatial *FloatBlock, q *QuantTable) Block {
-	var out Block
+// ForwardQuantizer is the forward DCT + quantization kernel for one
+// quantization table: the AAN butterfly, then per coefficient one multiply
+// by the folded (AAN scale / step) factor and a round-to-nearest by one
+// magic-number add, with no data-dependent branch on the common path. The
+// folded factors are built once per table rather than divided per block.
+//
+// Its output is bit-identical to Quantize(ForwardReference(spatial), q)
+// followed by the AC clamp: the folded product differs from the reference
+// coefficient / step by ~1e-11, so the two round alike unless the product
+// lies within quantBoundaryEps of a half-integer, where the kernel rounds
+// the reference basis value instead (refCoefficient).
+type ForwardQuantizer struct {
+	mul  [BlockLen]float64 // forwardScale[i] / q[i]
+	step [BlockLen]float64 // q[i], for the reference fallback
+	lo   [BlockLen]int32   // clamp floor: CoeffMin for DC, acMin for AC
+}
+
+// NewForwardQuantizer builds the kernel for table q. AC coefficients are
+// clamped to [acMin, CoeffMax] (baseline JPEG cannot code AC -1024), DC to
+// [CoeffMin, CoeffMax].
+func NewForwardQuantizer(q *QuantTable, acMin int32) *ForwardQuantizer {
+	k := &ForwardQuantizer{}
 	for i := 0; i < BlockLen; i++ {
-		p := scaled[i] * forwardScale[i] / float64(q[i])
-		if frac := math.Abs(p) + 0.5; math.Abs(frac-math.Round(frac)) < quantBoundaryEps {
-			p = refCoefficient(spatial, i/BlockSize, i%BlockSize) / float64(q[i])
-		}
-		v := int32(math.Round(p))
-		if v < CoeffMin {
-			v = CoeffMin
-		} else if v > CoeffMax {
-			v = CoeffMax
-		}
-		out[i] = v
+		k.step[i] = float64(q[i])
+		k.mul[i] = forwardScale[i] / k.step[i]
+		k.lo[i] = acMin
 	}
-	return out
+	k.lo[0] = CoeffMin
+	return k
+}
+
+// roundMagic is 1.5 * 2^52. For |p| < 2^51, p + roundMagic has no
+// fraction bits left, so the addition rounds p to the nearest integer (half
+// to even), and the low 32 bits of the sum's representation hold that
+// integer in two's complement.
+const roundMagic = 0x1.8p52
+
+// Quantize transforms a level-shifted spatial block and writes the
+// quantized, clamped coefficients into out. spatial is not modified.
+func (k *ForwardQuantizer) Quantize(spatial *FloatBlock, out *Block) {
+	var scaled FloatBlock
+	fdctAAN(&scaled, spatial)
+	for i := 0; i < BlockLen; i++ {
+		p := scaled[i] * k.mul[i]
+		y := p + roundMagic
+		v := int32(math.Float64bits(y))
+		// p - (y - roundMagic) is p's exact distance from its rounded
+		// value; near ±0.5 the reference basis decides. Huge or non-finite
+		// products also take the slow path.
+		if math.Abs(p-(y-roundMagic)) > 0.5-quantBoundaryEps || !(math.Abs(p) < 1<<30) {
+			v = k.slowRound(spatial, i, p)
+		}
+		out[i] = min(max(v, k.lo[i]), CoeffMax)
+	}
+}
+
+// slowRound is Quantize's rare path for coefficient i: the reference
+// basis near a rounding boundary, and a float-domain clamp for products
+// too large for the magic-number rounding (a NaN from non-finite input
+// lands on the floor).
+func (k *ForwardQuantizer) slowRound(spatial *FloatBlock, i int, p float64) int32 {
+	if math.Abs(p-math.Round(p)) > 0.5-quantBoundaryEps {
+		p = refCoefficient(spatial, i/BlockSize, i%BlockSize) / k.step[i]
+	}
+	f := math.Round(p)
+	if !(f >= float64(k.lo[i])) {
+		return k.lo[i]
+	}
+	return int32(min(f, CoeffMax))
 }

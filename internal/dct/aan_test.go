@@ -91,7 +91,7 @@ func TestFastForwardQuantizedBitIdentical(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := quickSpatial(rng)
 		q := quickQuant(rng)
-		fast := ForwardQuantized(&in, &q)
+		fast := forwardQuantized(&in, &q)
 		ref := ForwardQuantizedReference(&in, &q)
 		if fast != ref {
 			t.Logf("quantized mismatch:\nfast:\n%sref:\n%s", fast.String(), ref.String())
@@ -101,6 +101,67 @@ func TestFastForwardQuantizedBitIdentical(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestForwardQuantizerClampsAC checks the folded clamp: with unit steps and
+// out-of-range (unclamped-plane) samples, the kernel equals the reference
+// quantization with AC coefficients then raised to the caller's floor.
+func TestForwardQuantizerClampsAC(t *testing.T) {
+	var unit QuantTable
+	for i := range unit {
+		unit[i] = 1
+	}
+	const acMin = CoeffMin + 1
+	k := NewForwardQuantizer(&unit, acMin)
+	rng := rand.New(rand.NewSource(12))
+	clamped := 0
+	for trial := 0; trial < 2000; trial++ {
+		var in FloatBlock
+		for i := range in {
+			in[i] = float64(rng.Intn(2001) - 1000)
+		}
+		want := ForwardQuantizedReference(&in, &unit)
+		for i := 1; i < BlockLen; i++ {
+			if want[i] < acMin {
+				want[i] = acMin
+				clamped++
+			}
+		}
+		var got Block
+		k.Quantize(&in, &got)
+		if got != want {
+			t.Fatalf("trial %d: kernel\n%vwant\n%v", trial, got.String(), want.String())
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no AC coefficient reached the clamp floor; the test exercises nothing")
+	}
+}
+
+// TestForwardQuantizerOutOfDomain: products beyond the magic-number
+// rounding range clamp, and NaN lands on the floor, never on garbage.
+func TestForwardQuantizerOutOfDomain(t *testing.T) {
+	q := StdLuminanceQuant
+	k := NewForwardQuantizer(&q, CoeffMin+1)
+	for _, tc := range []struct {
+		sample float64
+		dc, ac int32
+	}{{1e12, CoeffMax, 0}, {-1e12, CoeffMin, 0}, {math.NaN(), CoeffMin, CoeffMin + 1}} {
+		var in FloatBlock
+		for i := range in {
+			in[i] = tc.sample
+		}
+		var out Block
+		k.Quantize(&in, &out)
+		if out[0] != tc.dc {
+			t.Errorf("sample %v: DC %d, want %d", tc.sample, out[0], tc.dc)
+		}
+		for i := 1; i < BlockLen; i++ {
+			if out[i] != tc.ac {
+				t.Fatalf("sample %v: AC[%d] %d, want %d", tc.sample, i, out[i], tc.ac)
+			}
+		}
 	}
 }
 
@@ -120,7 +181,7 @@ func TestFastForwardQuantizedBitIdenticalFlatBlocks(t *testing.T) {
 			for i := range in {
 				in[i] = float64(v)
 			}
-			fast := ForwardQuantized(&in, &q)
+			fast := forwardQuantized(&in, &q)
 			ref := ForwardQuantizedReference(&in, &q)
 			if fast != ref {
 				t.Fatalf("quality %d, flat %d: fast DC %d, ref DC %d",
@@ -158,7 +219,7 @@ func TestFastRoundTripQuantized(t *testing.T) {
 	q := StdLuminanceQuant
 	for trial := 0; trial < 50; trial++ {
 		in := quickSpatial(rng)
-		b := ForwardQuantized(&in, &q)
+		b := forwardQuantized(&in, &q)
 		back := InverseQuantized(&b, &q)
 		fwd := Forward(&back)
 		again := Quantize(&fwd, &q)
@@ -191,9 +252,11 @@ func BenchmarkForwardQuantized(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	in := randomSpatial(rng)
 	q := StdLuminanceQuant
+	k := NewForwardQuantizer(&q, CoeffMin)
+	var out Block
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ForwardQuantized(&in, &q)
+		k.Quantize(&in, &out)
 	}
 }
 
@@ -201,7 +264,7 @@ func BenchmarkInverseQuantized(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	in := randomSpatial(rng)
 	q := StdLuminanceQuant
-	blk := ForwardQuantized(&in, &q)
+	blk := forwardQuantized(&in, &q)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = InverseQuantized(&blk, &q)

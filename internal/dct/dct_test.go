@@ -165,7 +165,7 @@ func TestRequantizeMatchesDecodeReencode(t *testing.T) {
 	to, _ := StdLuminanceQuant.ScaleQuality(30)
 	for trial := 0; trial < 20; trial++ {
 		in := randomSpatial(rng)
-		b := ForwardQuantized(&in, &from)
+		b := forwardQuantized(&in, &from)
 		got := Requantize(&b, &from, &to)
 		// Reference: dequantize then quantize.
 		raw := Dequantize(&b, &from)
@@ -186,7 +186,7 @@ func TestCoefficientDomainFlipsMatchSpatial(t *testing.T) {
 	q := StdLuminanceQuant
 	for trial := 0; trial < 10; trial++ {
 		in := randomSpatial(rng)
-		b := ForwardQuantized(&in, &q)
+		b := forwardQuantized(&in, &q)
 		sp := spatialOf(&b, &q)
 
 		qT := q.Transpose()

@@ -191,32 +191,3 @@ func inverseScaled2x2(b *Block, q *QuantTable, out []float64) {
 	out[2] = m[1][0]*t00 + m[1][1]*t10
 	out[3] = m[1][0]*t01 + m[1][1]*t11
 }
-
-// InverseQuantizedScaledReference is the naive form of the same
-// mathematical definition, kept as the exactness oracle: it recomputes
-// every basis entry from scaledBasisAt and evaluates, for each output
-// sample, the column sum of row sums
-//
-//	out[i][j] = sum_u M_nv[i][u] * (sum_v (b*q)[u][v] * M_nh[j][v])
-//
-// with ascending u and v. The fast kernel computes the identical inner
-// sums once per input row and combines them in the identical order, so
-// the two agree bit for bit (not merely within rounding).
-func InverseQuantizedScaledReference(b *Block, q *QuantTable, nh, nv int, out []float64) {
-	if !ValidScaledAxis(nh) || !ValidScaledAxis(nv) {
-		panic("dct: invalid reduced IDCT axis size")
-	}
-	for i := 0; i < nv; i++ {
-		for j := 0; j < nh; j++ {
-			var sum float64
-			for u := 0; u < nv; u++ {
-				var inner float64
-				for v := 0; v < nh; v++ {
-					inner += float64(b[u*BlockSize+v]) * float64(q[u*BlockSize+v]) * scaledBasisAt(nh, j, v)
-				}
-				sum += scaledBasisAt(nv, i, u) * inner
-			}
-			out[i*nh+j] = sum
-		}
-	}
-}

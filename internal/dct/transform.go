@@ -23,11 +23,11 @@ func init() {
 // Forward computes the two-dimensional type-II DCT of an 8x8 spatial block
 // using the AAN fast kernel (aan.go). The input samples are expected to be
 // level-shifted (e.g. pixel-128 for 8-bit samples); the output is the raw
-// (unquantized) coefficient block, equal to ForwardReference up to float
-// rounding (~1e-12 over the 8-bit input domain).
+// (unquantized) coefficient block, equal to the naive reference DCT up to
+// float rounding (~1e-12 over the 8-bit input domain).
 func Forward(spatial *FloatBlock) FloatBlock {
-	out := *spatial
-	fdctAAN(&out)
+	var out FloatBlock
+	fdctAAN(&out, spatial)
 	for i := 0; i < BlockLen; i++ {
 		out[i] *= forwardScale[i]
 	}
@@ -36,7 +36,7 @@ func Forward(spatial *FloatBlock) FloatBlock {
 
 // Inverse computes the two-dimensional inverse DCT (type-III) using the AAN
 // fast kernel, mapping a raw coefficient block back to level-shifted spatial
-// samples. Equal to InverseReference up to float rounding.
+// samples. Equal to the naive reference inverse up to float rounding.
 func Inverse(coeff *FloatBlock) FloatBlock {
 	var in FloatBlock
 	for i := 0; i < BlockLen; i++ {
@@ -44,75 +44,6 @@ func Inverse(coeff *FloatBlock) FloatBlock {
 	}
 	idctAAN(&in)
 	return in
-}
-
-// ForwardReference is the naive separable O(8^3) DCT kept as the
-// equivalence oracle for the fast kernel (rows, then columns, explicit
-// basis dot products).
-func ForwardReference(spatial *FloatBlock) FloatBlock {
-	var tmp, out FloatBlock
-	for r := 0; r < BlockSize; r++ {
-		for u := 0; u < BlockSize; u++ {
-			var sum float64
-			for x := 0; x < BlockSize; x++ {
-				sum += spatial[r*BlockSize+x] * cosTable[u][x]
-			}
-			tmp[r*BlockSize+u] = sum * alpha[u] / 2
-		}
-	}
-	for c := 0; c < BlockSize; c++ {
-		for v := 0; v < BlockSize; v++ {
-			var sum float64
-			for y := 0; y < BlockSize; y++ {
-				sum += tmp[y*BlockSize+c] * cosTable[v][y]
-			}
-			out[v*BlockSize+c] = sum * alpha[v] / 2
-		}
-	}
-	return out
-}
-
-// InverseReference is the naive separable inverse DCT kept as the
-// equivalence oracle for the fast kernel.
-func InverseReference(coeff *FloatBlock) FloatBlock {
-	var tmp, out FloatBlock
-	for c := 0; c < BlockSize; c++ {
-		for y := 0; y < BlockSize; y++ {
-			var sum float64
-			for v := 0; v < BlockSize; v++ {
-				sum += alpha[v] * coeff[v*BlockSize+c] * cosTable[v][y]
-			}
-			tmp[y*BlockSize+c] = sum / 2
-		}
-	}
-	for r := 0; r < BlockSize; r++ {
-		for x := 0; x < BlockSize; x++ {
-			var sum float64
-			for u := 0; u < BlockSize; u++ {
-				sum += alpha[u] * tmp[r*BlockSize+u] * cosTable[u][x]
-			}
-			out[r*BlockSize+x] = sum / 2
-		}
-	}
-	return out
-}
-
-// ForwardQuantized performs forward DCT followed by quantization with the
-// given table, producing a JPEG-range coefficient block. It runs the AAN
-// butterfly with the scale factors folded into the quantization step and is
-// bit-identical to Quantize(ForwardReference(spatial), q) over the JPEG
-// coefficient range (see quantizeFolded).
-func ForwardQuantized(spatial *FloatBlock, q *QuantTable) Block {
-	scaled := *spatial
-	fdctAAN(&scaled)
-	return quantizeFolded(&scaled, spatial, q)
-}
-
-// ForwardQuantizedReference is the pre-AAN quantizing path (reference DCT
-// then Quantize), kept for equivalence testing.
-func ForwardQuantizedReference(spatial *FloatBlock, q *QuantTable) Block {
-	raw := ForwardReference(spatial)
-	return Quantize(&raw, q)
 }
 
 // InverseQuantized dequantizes a coefficient block with the given table and
@@ -125,11 +56,4 @@ func InverseQuantized(b *Block, q *QuantTable) FloatBlock {
 	}
 	idctAAN(&in)
 	return in
-}
-
-// InverseQuantizedReference is the pre-AAN dequantizing path (Dequantize
-// then reference inverse DCT), kept for equivalence testing.
-func InverseQuantizedReference(b *Block, q *QuantTable) FloatBlock {
-	raw := Dequantize(b, q)
-	return InverseReference(&raw)
 }

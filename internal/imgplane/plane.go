@@ -230,39 +230,53 @@ func clamp8(v float32) uint8 {
 	return uint8(v + 0.5)
 }
 
-// FromStdImage converts any stdlib image to a 3-channel planar YUV image.
-// Images with empty bounds (possible in caller-supplied decoded images) are
-// rejected with an error rather than panicking downstream.
-func FromStdImage(src image.Image) (*Image, error) {
+// StdRowReader converts the rows of a stdlib image to YUV samples. It is
+// the one pixel-to-YUV converter of the codebase: FromStdImage fills whole
+// planes with it, and the JPEG encoder's streaming forward path
+// (jpegc.FromStdImage) converts eight rows at a time into scratch, so both
+// produce the same float32 samples.
+//
+// The common stdlib formats get direct Pix-slice readers: the generic
+// At(x, y).RGBA() route boxes a color.Color per pixel, which turns a
+// megapixel conversion into a million allocations. Each fast path produces
+// the exact 8-bit channel values the interface route's 16-bit-to-8-bit
+// shift yields (NRGBA premultiplies with the stdlib's own *0x101 * alpha /
+// 0xff arithmetic), so results are bit-identical.
+type StdRowReader struct {
+	src    image.Image
+	bounds image.Rectangle
+}
+
+// NewStdRowReader returns a row reader for src. Images with empty bounds
+// (possible in caller-supplied decoded images) are rejected with an error
+// rather than panicking downstream.
+func NewStdRowReader(src image.Image) (*StdRowReader, error) {
 	b := src.Bounds()
-	img, err := New(b.Dx(), b.Dy(), 3)
-	if err != nil {
-		return nil, err
+	if b.Dx() <= 0 || b.Dy() <= 0 {
+		return nil, fmt.Errorf("imgplane: invalid image size %dx%d", b.Dx(), b.Dy())
 	}
-	w := img.W()
-	pY := img.Planes[ChannelY].Pix
-	pU := img.Planes[ChannelU].Pix
-	pV := img.Planes[ChannelV].Pix
-	put := func(i int, r8, g8, b8 float32) {
-		yy, uu, vv := RGBToYUV(r8, g8, b8)
-		pY[i], pU[i], pV[i] = yy, uu, vv
-	}
-	// The common stdlib formats get direct Pix-slice readers: the generic
-	// At(x, y).RGBA() route boxes a color.Color per pixel, which turns a
-	// megapixel conversion into a million allocations. Each fast path
-	// produces the exact 8-bit channel values the interface route's
-	// 16-bit-to-8-bit shift yields (NRGBA premultiplies with the stdlib's
-	// own *0x101 * alpha / 0xff arithmetic), so results are bit-identical.
-	var rows func(lo, hi int)
-	switch s := src.(type) {
+	return &StdRowReader{src: src, bounds: b}, nil
+}
+
+// W returns the image width in pixels.
+func (r *StdRowReader) W() int { return r.bounds.Dx() }
+
+// H returns the image height in pixels.
+func (r *StdRowReader) H() int { return r.bounds.Dy() }
+
+// ReadRow converts row y (0-based from the top of the bounds) into the
+// first W samples of yy, uu and vv. It only reads the source, so rows may
+// be converted concurrently.
+func (r *StdRowReader) ReadRow(y int, yy, uu, vv []float32) {
+	b := r.bounds
+	w := b.Dx()
+	yy, uu, vv = yy[:w], uu[:w], vv[:w]
+	switch s := r.src.(type) {
 	case *image.RGBA:
-		rows = func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				o := s.PixOffset(b.Min.X, b.Min.Y+y)
-				for x := 0; x < w; x, o = x+1, o+4 {
-					put(y*w+x, float32(s.Pix[o]), float32(s.Pix[o+1]), float32(s.Pix[o+2]))
-				}
-			}
+		pix := s.Pix[s.PixOffset(b.Min.X, b.Min.Y+y):]
+		for x := range yy {
+			p := pix[4*x : 4*x+3 : 4*x+3]
+			yy[x], uu[x], vv[x] = RGBToYUV(float32(p[0]), float32(p[1]), float32(p[2]))
 		}
 	case *image.NRGBA:
 		prem := func(v, a uint8) float32 {
@@ -270,37 +284,47 @@ func FromStdImage(src image.Image) (*Image, error) {
 			r32 = r32 * uint32(a) / 0xff
 			return float32(r32 >> 8)
 		}
-		rows = func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				o := s.PixOffset(b.Min.X, b.Min.Y+y)
-				for x := 0; x < w; x, o = x+1, o+4 {
-					a := s.Pix[o+3]
-					put(y*w+x, prem(s.Pix[o], a), prem(s.Pix[o+1], a), prem(s.Pix[o+2], a))
-				}
-			}
+		pix := s.Pix[s.PixOffset(b.Min.X, b.Min.Y+y):]
+		for x := range yy {
+			p := pix[4*x : 4*x+4 : 4*x+4]
+			a := p[3]
+			yy[x], uu[x], vv[x] = RGBToYUV(prem(p[0], a), prem(p[1], a), prem(p[2], a))
 		}
 	case *image.Gray:
-		rows = func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				o := s.PixOffset(b.Min.X, b.Min.Y+y)
-				for x := 0; x < w; x, o = x+1, o+1 {
-					g := float32(s.Pix[o])
-					put(y*w+x, g, g, g)
-				}
-			}
+		pix := s.Pix[s.PixOffset(b.Min.X, b.Min.Y+y):]
+		for x := range yy {
+			g := float32(pix[x])
+			yy[x], uu[x], vv[x] = RGBToYUV(g, g, g)
 		}
 	default:
-		rows = func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				for x := 0; x < w; x++ {
-					r16, g16, b16, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()
-					put(y*w+x, float32(r16>>8), float32(g16>>8), float32(b16>>8))
-				}
-			}
+		for x := range yy {
+			r16, g16, b16, _ := s.At(b.Min.X+x, b.Min.Y+y).RGBA()
+			yy[x], uu[x], vv[x] = RGBToYUV(float32(r16>>8), float32(g16>>8), float32(b16>>8))
 		}
 	}
+}
+
+// FromStdImage converts any stdlib image to a 3-channel planar YUV image.
+// Images with empty bounds are rejected with an error.
+func FromStdImage(src image.Image) (*Image, error) {
+	rows, err := NewStdRowReader(src)
+	if err != nil {
+		return nil, err
+	}
+	img, err := New(rows.W(), rows.H(), 3)
+	if err != nil {
+		return nil, err
+	}
+	w := img.W()
+	pY := img.Planes[ChannelY].Pix
+	pU := img.Planes[ChannelU].Pix
+	pV := img.Planes[ChannelV].Pix
 	// Rows write disjoint plane indices; src is only read.
-	parallel.For(b.Dy(), rowGrain, rows)
+	parallel.For(rows.H(), rowGrain, func(lo, hi int) {
+		for y := lo; y < hi; y++ {
+			rows.ReadRow(y, pY[y*w:(y+1)*w], pU[y*w:(y+1)*w], pV[y*w:(y+1)*w])
+		}
+	})
 	return img, nil
 }
 

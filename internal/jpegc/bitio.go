@@ -39,24 +39,40 @@ func (bw *bitWriter) release() {
 	bw.buf = nil
 }
 
-// WriteBits writes the low n bits of v, most significant first. n <= 32,
-// so one call can carry a full Huffman code plus its magnitude bits.
+// WriteBits writes the n-bit value v, most significant first; v must have
+// no bits set at or above n. n <= 32, so one call can carry a full Huffman
+// code plus its magnitude bits. The accumulator holds fewer than 32
+// pending bits between calls and drains whole 32-bit words.
 func (bw *bitWriter) WriteBits(v uint32, n uint) {
-	if bw.err != nil || n == 0 {
-		return
-	}
-	bw.acc = bw.acc<<n | uint64(v)&((1<<n)-1)
+	bw.acc = bw.acc<<n | uint64(v)
 	bw.nAcc += n
-	for bw.nAcc >= 8 {
-		bw.nAcc -= 8
-		b := byte(bw.acc >> bw.nAcc)
-		bw.buf = append(bw.buf, b)
-		if b == 0xff {
-			bw.buf = append(bw.buf, 0x00)
+	if bw.nAcc >= 32 {
+		bw.drainWord()
+	}
+}
+
+// drainWord moves the oldest 32 pending bits into the staging buffer. A
+// word without an 0xFF byte needs no stuffing and goes out in one append.
+func (bw *bitWriter) drainWord() {
+	bw.nAcc -= 32
+	word := uint32(bw.acc >> bw.nAcc)
+	if x := ^word; (x-0x01010101)&^x&0x80808080 == 0 {
+		bw.buf = append(bw.buf, byte(word>>24), byte(word>>16), byte(word>>8), byte(word))
+	} else {
+		for shift := 24; shift >= 0; shift -= 8 {
+			bw.appendByte(byte(word >> shift))
 		}
 	}
 	if len(bw.buf) >= writerFlushAt {
 		bw.flushBuf()
+	}
+}
+
+// appendByte stages one data byte, stuffing 0x00 after 0xFF.
+func (bw *bitWriter) appendByte(b byte) {
+	bw.buf = append(bw.buf, b)
+	if b == 0xff {
+		bw.buf = append(bw.buf, 0x00)
 	}
 }
 
@@ -71,19 +87,21 @@ func (bw *bitWriter) flushBuf() {
 }
 
 // padToByte pads any partial byte with 1-bits (as the JPEG standard
-// requires) and drains it into the staging buffer.
+// requires) and drains every pending byte into the staging buffer.
 func (bw *bitWriter) padToByte() {
-	if bw.nAcc > 0 {
-		bw.WriteBits((1<<(8-bw.nAcc))-1, 8-bw.nAcc)
+	if pad := -bw.nAcc & 7; pad > 0 {
+		bw.acc = bw.acc<<pad | (1<<pad - 1)
+		bw.nAcc += pad
+	}
+	for bw.nAcc > 0 {
+		bw.nAcc -= 8
+		bw.appendByte(byte(bw.acc >> bw.nAcc))
 	}
 }
 
 // WriteRestart pads to a byte boundary and emits RST(idx mod 8). Restart
 // markers are real markers: they are not byte-stuffed.
 func (bw *bitWriter) WriteRestart(idx int) {
-	if bw.err != nil {
-		return
-	}
 	bw.padToByte()
 	bw.buf = append(bw.buf, 0xff, markerRST0+byte(idx&7))
 }

@@ -2,6 +2,7 @@ package jpegc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -53,11 +54,12 @@ type encTable struct {
 	size [256]uint8 // 0 means the symbol has no code
 }
 
-func newEncTable(s *HuffmanSpec) (*encTable, error) {
+// init builds t from spec s, overwriting every entry.
+func (t *encTable) init(s *HuffmanSpec) error {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	t := &encTable{}
+	*t = encTable{}
 	code := uint32(0)
 	vi := 0
 	for length := 1; length <= maxCodeLength; length++ {
@@ -70,7 +72,7 @@ func newEncTable(s *HuffmanSpec) (*encTable, error) {
 		}
 		code <<= 1
 	}
-	return t, nil
+	return nil
 }
 
 // lutBits is the first-level lookup width of the decoder: every code of at
@@ -322,25 +324,15 @@ func BuildOptimalSpec(freq *[256]int64) (HuffmanSpec, error) {
 // magnitudeCategory returns the JPEG size category of v: the number of bits
 // needed to represent |v| (0 for v == 0).
 func magnitudeCategory(v int32) int {
-	if v < 0 {
-		v = -v
-	}
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
+	s := v >> 31 // branch-free |v|: coefficient signs are unpredictable
+	return bits.Len32(uint32(v ^ s - s))
 }
 
 // magnitudeBits returns the SSSS magnitude bits for value v in category size
 // per JPEG's convention: nonnegative values are emitted as-is; negative
 // values as v-1 truncated to size bits (one's complement of |v|).
 func magnitudeBits(v int32, size int) uint32 {
-	if v < 0 {
-		v--
-	}
-	return uint32(v) & ((1 << size) - 1)
+	return uint32(v+v>>31) & (1<<size - 1)
 }
 
 // extendMagnitude inverts magnitudeBits: reconstructs the signed value from

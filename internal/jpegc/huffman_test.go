@@ -98,8 +98,8 @@ func TestMaxLengthCodesRoundTrip(t *testing.T) {
 	for i := 0; i < 17; i++ {
 		spec.Values = append(spec.Values, byte(i))
 	}
-	enc, err := newEncTable(&spec)
-	if err != nil {
+	var enc encTable
+	if err := enc.init(&spec); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := newDecTable(&spec)

@@ -21,7 +21,7 @@
 //
 // Coefficient conventions: DC occupies [-1024, 1023]; AC occupies
 // [-1023, 1023] (baseline Huffman AC categories reach size 10 only, so
-// -1024 is not representable — FromPlanar clamps it away).
+// -1024 is not representable — the forward path clamps it away).
 package jpegc
 
 import (
@@ -196,112 +196,10 @@ func (m *Image) Validate() error {
 
 func blocksFor(pixels int) int { return (pixels + dct.BlockSize - 1) / dct.BlockSize }
 
-// Options control pixel <-> coefficient conversion.
-type Options struct {
-	// Quality is the libjpeg-style quality in [1,100]; 0 means the default
-	// of 75.
-	Quality int
-}
-
-const defaultQuality = 75
-
-func (o Options) quality() int {
-	if o.Quality == 0 {
-		return defaultQuality
-	}
-	return o.Quality
-}
-
-// FromPlanar converts a planar YUV image into a quantized coefficient image.
-// Edge blocks are padded by edge replication, as conventional encoders do.
-func FromPlanar(src *imgplane.Image, opts Options) (*Image, error) {
-	if err := src.Validate(); err != nil {
-		return nil, err
-	}
-	q := opts.quality()
-	lum, err := dct.StdLuminanceQuant.ScaleQuality(q)
-	if err != nil {
-		return nil, err
-	}
-	chrom, err := dct.StdChrominanceQuant.ScaleQuality(q)
-	if err != nil {
-		return nil, err
-	}
-	return FromPlanarWithQuant(src, &lum, &chrom)
-}
-
-// FromPlanarWithQuant is FromPlanar with explicit quantization tables, used
-// when re-encoding must preserve an existing image's tables (e.g. PSP-side
-// pixel-domain transforms).
-func FromPlanarWithQuant(src *imgplane.Image, lum, chrom *dct.QuantTable) (*Image, error) {
-	if err := src.Validate(); err != nil {
-		return nil, err
-	}
-	if err := lum.Validate(); err != nil {
-		return nil, err
-	}
-	if err := chrom.Validate(); err != nil {
-		return nil, err
-	}
-	out := &Image{W: src.W(), H: src.H(), Comps: make([]Component, src.Channels())}
-	for ci := range src.Planes {
-		qt := lum
-		if ci > 0 {
-			qt = chrom
-		}
-		comp, err := componentFromPlane(src.Planes[ci], qt)
-		if err != nil {
-			return nil, fmt.Errorf("jpegc: component %d: %w", ci, err)
-		}
-		out.Comps[ci] = comp
-	}
-	return out, nil
-}
-
 // blockRowGrain is the parallel chunk size for block-grid loops: a few
 // block rows per chunk amortizes scheduling without starving the pool on
 // small images.
 const blockRowGrain = 4
-
-func componentFromPlane(p *imgplane.Plane, q *dct.QuantTable) (Component, error) {
-	bw, bh := blocksFor(p.W), blocksFor(p.H)
-	comp := Component{
-		BlocksW: bw,
-		BlocksH: bh,
-		Blocks:  make([]dct.Block, bw*bh),
-		Quant:   *q,
-	}
-	// Block rows are independent: each worker owns its own scratch block
-	// and writes a disjoint slice of comp.Blocks, so output is identical
-	// at any worker count.
-	parallel.For(bh, blockRowGrain, func(lo, hi int) {
-		var spatial dct.FloatBlock
-		for by := lo; by < hi; by++ {
-			for bx := 0; bx < bw; bx++ {
-				for y := 0; y < dct.BlockSize; y++ {
-					for x := 0; x < dct.BlockSize; x++ {
-						// Plane.At replicates edges, which pads partial blocks.
-						spatial[y*dct.BlockSize+x] = float64(p.At(bx*dct.BlockSize+x, by*dct.BlockSize+y)) - 128
-					}
-				}
-				b := dct.ForwardQuantized(&spatial, q)
-				clampBaselineAC(&b)
-				comp.Blocks[by*bw+bx] = b
-			}
-		}
-	})
-	return comp, nil
-}
-
-// clampBaselineAC forces AC coefficients into the baseline-representable
-// range [-1023, 1023].
-func clampBaselineAC(b *dct.Block) {
-	for i := 1; i < dct.BlockLen; i++ {
-		if b[i] < ACMin {
-			b[i] = ACMin
-		}
-	}
-}
 
 // ToPlanar converts the coefficient image back to unclamped planar YUV
 // pixels (dequantize + inverse DCT + level unshift). Subsampled components

@@ -360,8 +360,8 @@ func TestBuildOptimalSpecSingleSymbol(t *testing.T) {
 	if len(spec.Values) != 1 || spec.Values[0] != 42 {
 		t.Fatalf("got values %v", spec.Values)
 	}
-	tbl, err := newEncTable(&spec)
-	if err != nil {
+	var tbl encTable
+	if err := tbl.init(&spec); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.size[42] == 0 {

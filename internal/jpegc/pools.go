@@ -55,6 +55,34 @@ func getBlockSlab(n int) []dct.Block {
 	return s
 }
 
+// getBlockSlabUncleared is getBlockSlab without the zeroing, the one
+// exception to the reset contract above: its contents are undefined, so
+// only a caller that overwrites all n blocks (the forward path) may use
+// it.
+func getBlockSlabUncleared(n int) []dct.Block {
+	s := *blockSlabPool.Get().(*[]dct.Block)
+	if cap(s) < n {
+		return make([]dct.Block, n)
+	}
+	return s[:n]
+}
+
+// rowScratchPool recycles the forward path's per-worker row buffers
+// (converted YUV rows of one block row of a stdlib image).
+var rowScratchPool = sync.Pool{New: func() any { return new([]float32) }}
+
+// getRowScratch returns a buffer of n samples with undefined contents.
+func getRowScratch(n int) *[]float32 {
+	b := rowScratchPool.Get().(*[]float32)
+	if cap(*b) < n {
+		*b = make([]float32, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+func putRowScratch(b *[]float32) { rowScratchPool.Put(b) }
+
 // putBlockSlab recycles a slab. The caller asserts sole ownership: nothing
 // may alias the slab afterwards.
 func putBlockSlab(s []dct.Block) {

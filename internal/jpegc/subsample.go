@@ -1,8 +1,7 @@
 package jpegc
 
 import (
-	"fmt"
-
+	"puppies/internal/dct"
 	"puppies/internal/imgplane"
 )
 
@@ -70,10 +69,9 @@ func (m *Image) Normalize444() (*Image, error) {
 		fillPlaneFromComponent(comp, native)
 		imgplane.ResizeBilinearInto(native, full)
 		imgplane.PutPlane(native)
-		up, err := componentFromPlane(full, &comp.Quant)
-		if err != nil {
-			return nil, fmt.Errorf("jpegc: upsample component %d: %w", ci, err)
-		}
+		up := newForwardComponent(m.W, m.H, &comp.Quant)
+		forwardComponents(&rowSource{w: m.W, h: m.H, planes: []*imgplane.Plane{full}},
+			[]*dct.ForwardQuantizer{dct.NewForwardQuantizer(&comp.Quant, ACMin)}, []Component{up})
 		out.Comps[ci] = up
 	}
 	return out, nil

@@ -171,17 +171,21 @@ func Protect(src image.Image, opts ProtectOptions) (*Protected, error) {
 		return nil, err
 	}
 
-	planar, err := imgplane.FromStdImage(src)
+	// The coefficient image goes straight from the source pixels to
+	// pooled blocks; Protect owns it and recycles it once encoded.
+	img, err := jpegc.FromStdImage(src, jpegc.Options{Quality: opts.Quality})
 	if err != nil {
 		return nil, err
 	}
-	img, err := jpegc.FromPlanar(planar, jpegc.Options{Quality: opts.Quality})
-	if err != nil {
-		return nil, err
-	}
+	defer img.Recycle()
 
 	regions := opts.Regions
 	if regions == nil {
+		// Only the detectors need full-resolution planes.
+		planar, err := imgplane.FromStdImage(src)
+		if err != nil {
+			return nil, err
+		}
 		regions = roi.NewDetector().Recommend(planar)
 		if len(regions) == 0 {
 			return nil, fmt.Errorf("puppies: no sensitive regions detected; pass Regions explicitly")
@@ -274,6 +278,9 @@ func ProtectJPEG(jpegData []byte, opts ProtectOptions) (*Protected, error) {
 	if err != nil {
 		return nil, fmt.Errorf("puppies: decode image: %w", err)
 	}
+	// ProtectJPEG owns the decoded image (and any normalized copy) and
+	// recycles it once encoded.
+	defer func() { img.Recycle() }()
 	params, err := core.NewParams(opts.Variant, opts.Level)
 	if err != nil {
 		return nil, err
@@ -302,8 +309,13 @@ func ProtectJPEG(jpegData []byte, opts ProtectOptions) (*Protected, error) {
 	if img.Subsampled() {
 		if mcu, ok := alignRegionsToMCU(img, regions); ok {
 			regions = mcu
-		} else if img, err = img.Normalize444(); err != nil {
-			return nil, err
+		} else {
+			full, err := img.Normalize444()
+			if err != nil {
+				return nil, err
+			}
+			img.Recycle()
+			img = full
 		}
 	}
 
@@ -350,6 +362,7 @@ func UnprotectJPEG(jpegData, params []byte, pairs []*KeyPair) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("puppies: decode image: %w", err)
 	}
+	defer img.Recycle()
 	pd, err := core.DecodePublicData(params)
 	if err != nil {
 		return nil, err
@@ -450,14 +463,11 @@ func EncodeJPEG(src image.Image, quality int) ([]byte, error) {
 	if src == nil {
 		return nil, fmt.Errorf("puppies: nil image")
 	}
-	planar, err := imgplane.FromStdImage(src)
+	img, err := jpegc.FromStdImage(src, jpegc.Options{Quality: quality})
 	if err != nil {
 		return nil, err
 	}
-	img, err := jpegc.FromPlanar(planar, jpegc.Options{Quality: quality})
-	if err != nil {
-		return nil, err
-	}
+	defer img.Recycle()
 	var buf bytes.Buffer
 	if err := img.Encode(&buf, jpegc.EncodeOptions{}); err != nil {
 		return nil, err
