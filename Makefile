@@ -71,8 +71,8 @@ cluster-demo: build
 	wait'
 
 # fuzz-smoke gives each fuzz target a short budget so `make check` exercises
-# the decoders and the encoder round trip against the native fuzzer on
-# every run (corpus regressions
+# the decoders, the encoder round trip and the shared multipart batch reader
+# against the native fuzzer on every run (corpus regressions
 # under testdata/ always run as plain tests regardless).
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime $(FUZZTIME) ./internal/transform
 	$(GO) test -run '^$$' -fuzz '^FuzzSignature$$' -fuzztime $(FUZZTIME) ./internal/searchidx
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexSnapshot$$' -fuzztime $(FUZZTIME) ./internal/searchidx
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchMultipart$$' -fuzztime $(FUZZTIME) ./internal/psp
 
 # bench runs every benchmark (paper tables/figures plus the kernel and
 # pipeline micro-benchmarks) and writes a JSON report to $(BENCH_OUT).

@@ -49,12 +49,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -95,13 +93,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	idemTTL := fs.Duration("idempotency-ttl", psp.DefaultKeyTTL, "idempotency key lifetime (memory store; 0 disables expiry)")
 	cacheBytes := fs.Int64("cache-bytes", psp.DefaultVariantCacheBytes, "encoded transform-output cache budget in bytes (0 disables)")
 	coeffCacheBytes := fs.Int64("coeff-cache-bytes", psp.DefaultCoeffCacheBytes, "decoded-coefficient cache budget in bytes (0 disables)")
-	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-	drainGrace := fs.Duration("drain-grace", 250*time.Millisecond, "how long healthz advertises draining (503) before the listener closes")
 	reqTimeout := fs.Duration("request-timeout", 60*time.Second, "per-request handler timeout (0 disables)")
-	maxInflight := fs.Int("max-inflight", 0, "admission capacity in weighted units (0 = 16/proc default, negative disables shedding)")
-	admitWait := fs.Duration("admit-wait", 0, "max time a request may queue for admission before a 429 (0 = default)")
-	admitQueue := fs.Int("admit-queue", 0, "admission queue length beyond capacity (0 = default)")
-	admitRetryAfter := fs.Duration("admit-retry-after", 0, "base Retry-After hint on 429 responses (0 = default)")
+	daemon := psp.RegisterDaemonFlags(fs, psp.DefaultInflightPerProc)
 	faultSeed := fs.Int64("fault-seed", 0, "enable fault-injection middleware with this RNG seed (0 disables)")
 	faultRate := fs.Float64("fault-rate", 0, "probability of injecting the configured fault per request")
 	faultLatency := fs.Duration("fault-latency", 0, "injected latency; with zero latency the injected fault is a 503")
@@ -155,10 +148,10 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	}
 	fmt.Fprintf(stdout, "pspd serve cache: variants=%s coeffs=%s\n",
 		cacheBudgetString(server.VariantCacheBytes), cacheBudgetString(server.CoeffCacheBytes))
-	server.MaxInflight = *maxInflight
-	server.AdmitWait = *admitWait
-	server.AdmitQueue = *admitQueue
-	server.AdmitRetryAfter = *admitRetryAfter
+	server.MaxInflight = daemon.Admit.Capacity
+	server.AdmitWait = daemon.Admit.MaxWait
+	server.AdmitQueue = daemon.Admit.MaxQueue
+	server.AdmitRetryAfter = daemon.Admit.RetryAfter
 	handler := server.Handler()
 	if *faultSeed != 0 {
 		fault := faults.Fault{Kind: faults.Status503}
@@ -178,54 +171,5 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		handler = http.TimeoutHandler(handler, *reqTimeout, "request timed out\n")
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("pspd: listen: %w", err)
-	}
-	srv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	fmt.Fprintf(stdout, "pspd listening on %s\n", ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		// Serve only returns before shutdown on a real listener error.
-		return fmt.Errorf("pspd: serve: %w", err)
-	case <-ctx.Done():
-	}
-
-	// Flip healthz to 503 the moment shutdown begins and keep the listener
-	// open for a grace period: health-checking gateways observe the drain
-	// and stop routing here before connections start being refused.
-	server.SetDraining(true)
-	fmt.Fprintf(stdout, "pspd draining: healthz now 503, closing listener in %s\n", *drainGrace)
-	if *drainGrace > 0 {
-		select {
-		case <-time.After(*drainGrace):
-		case err := <-serveErr:
-			return fmt.Errorf("pspd: serve: %w", err)
-		}
-	}
-
-	fmt.Fprintf(stdout, "pspd shutting down, draining for up to %s\n", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("pspd: shutdown: %w", err)
-	}
-	// A clean Shutdown makes Serve return ErrServerClosed; that is the
-	// success path, not a fatal error.
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("pspd: serve: %w", err)
-	}
-	fmt.Fprintln(stdout, "pspd stopped cleanly")
-	return nil
+	return daemon.Serve(ctx, "pspd", *addr, handler, server.SetDraining, stdout, ready)
 }

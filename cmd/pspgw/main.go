@@ -24,18 +24,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"puppies/internal/cluster"
 	"puppies/internal/psp"
@@ -66,12 +62,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	hedgeDelay := fs.Duration("hedge-delay", cluster.DefaultHedgeDelay, "how long a read waits on one replica before hedging to the next")
 	shardTimeout := fs.Duration("shard-timeout", cluster.DefaultShardTimeout, "per-shard request timeout")
 	maxBody := fs.Int64("max-body", psp.DefaultMaxUpload, "request/response body byte cap")
-	maxInflight := fs.Int("max-inflight", 0, "admission capacity in weighted units (0 = 32/proc default, negative disables shedding)")
-	admitWait := fs.Duration("admit-wait", 0, "max time a request may queue for admission before a 429 (0 = default)")
-	admitQueue := fs.Int("admit-queue", 0, "admission queue length beyond capacity (0 = default)")
-	admitRetryAfter := fs.Duration("admit-retry-after", 0, "base Retry-After hint on 429 responses (0 = default)")
-	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-	drainGrace := fs.Duration("drain-grace", 250*time.Millisecond, "how long healthz advertises draining (503) before the listener closes")
+	daemon := psp.RegisterDaemonFlags(fs, cluster.DefaultGatewayInflightPerProc)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,10 +88,10 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		BreakerCooldown:    *breakerCooldown,
 		BreakerCooldownMax: *breakerCooldownMax,
 		ProbeInterval:      *probeInterval,
-		MaxInflight:        *maxInflight,
-		AdmitWait:          *admitWait,
-		AdmitQueue:         *admitQueue,
-		AdmitRetryAfter:    *admitRetryAfter,
+		MaxInflight:        daemon.Admit.Capacity,
+		AdmitWait:          daemon.Admit.MaxWait,
+		AdmitQueue:         daemon.Admit.MaxQueue,
+		AdmitRetryAfter:    daemon.Admit.RetryAfter,
 	})
 	if err != nil {
 		return fmt.Errorf("pspgw: %w", err)
@@ -109,51 +100,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	defer stopProbes()
 	gw.Start(probeCtx)
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("pspgw: listen: %w", err)
-	}
-	srv := &http.Server{
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	st := gw.Stats()
 	fmt.Fprintf(stdout, "pspgw fronting %d shards (R=%d W=%d, %d ring points)\n",
 		st.RingShards, st.Replicas, st.WriteQuorum, st.RingPoints)
-	fmt.Fprintf(stdout, "pspgw listening on %s\n", ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return fmt.Errorf("pspgw: serve: %w", err)
-	case <-ctx.Done():
-	}
-
-	gw.SetDraining(true)
-	fmt.Fprintf(stdout, "pspgw draining: healthz now 503, closing listener in %s\n", *drainGrace)
-	if *drainGrace > 0 {
-		select {
-		case <-time.After(*drainGrace):
-		case err := <-serveErr:
-			return fmt.Errorf("pspgw: serve: %w", err)
-		}
-	}
-
-	fmt.Fprintf(stdout, "pspgw shutting down, draining for up to %s\n", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("pspgw: shutdown: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("pspgw: serve: %w", err)
-	}
-	fmt.Fprintln(stdout, "pspgw stopped cleanly")
-	return nil
+	return daemon.Serve(ctx, "pspgw", *addr, gw.Handler(), gw.SetDraining, stdout, ready)
 }

@@ -7,11 +7,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,16 +30,10 @@ const (
 	DefaultProbeInterval = 1 * time.Second
 )
 
-// Batch route limits, mirroring internal/psp's: per-part bodies are bounded
-// by Config.MaxBody, the whole multipart envelope by batchBodyFactor times
-// that, and part count by batchMaxParts. batchReplicateConcurrency bounds
-// how many parts replicate to their quorums at once — each part already
-// fans out to R shards, so this multiplies into in-flight shard requests.
-const (
-	batchMaxParts             = 1024
-	batchBodyFactor           = 16
-	batchReplicateConcurrency = 8
-)
+// batchReplicateConcurrency bounds how many batch items replicate to their
+// quorums at once — each item already fans out to R shards, so this
+// multiplies into in-flight shard requests.
+const batchReplicateConcurrency = 8
 
 // Config parameterizes a Gateway.
 type Config struct {
@@ -79,9 +71,6 @@ type Config struct {
 	// ProbeInterval is the health-check period for Start (0 means
 	// DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// DisableReadVerify turns off the asynchronous quorum read
-	// verification that runs behind raw-image GETs.
-	DisableReadVerify bool
 	// MaxInflight caps concurrently served client requests in weighted
 	// units (transform proxies count double). Zero means
 	// DefaultGatewayInflightPerProc per GOMAXPROCS; negative disables
@@ -124,18 +113,11 @@ type shard struct {
 type Gateway struct {
 	cfg    Config
 	client *http.Client
+	ch     *psp.Chassis
 
 	mu     sync.RWMutex // guards ring + shards
 	ring   *Ring
 	shards map[string]*shard
-
-	draining atomic.Bool
-
-	admitOnce sync.Once
-	admit     *admission.Controller
-
-	latOnce sync.Once
-	lat     map[string]*stats.Histogram
 
 	uploads              atomic.Uint64
 	uploadQuorumFailures atomic.Uint64
@@ -176,6 +158,33 @@ func New(cfg Config) (*Gateway, error) {
 		repairInflight: make(map[string]bool),
 		verified:       make(map[string]bool),
 	}
+	// The client-facing routes mirror internal/psp's table, names included;
+	// healthz, statz and admin routes bypass admission, since they are how
+	// operators observe and repair an overloaded cluster. Search fans out to
+	// every shard, so it pays the heavy weight.
+	g.ch = psp.NewChassis([]psp.Route{
+		{Pattern: "GET /v1/healthz", Handler: g.handleHealthz},
+		{Pattern: "GET /v1/statz", Handler: g.handleStatz},
+		{Pattern: "GET /v1/admin/shards", Handler: g.handleShardsGet},
+		{Pattern: "POST /v1/admin/shards", Handler: g.handleShardsPost},
+		{Pattern: "POST /v1/admin/repair", Handler: g.handleRepair},
+		{Pattern: "GET /v1/images", Name: "list", Weight: 1, Handler: g.handleList},
+		{Pattern: "POST /v1/images", Name: "upload", Weight: 1, Handler: g.handleUpload},
+		{Pattern: "POST /v1/images:batch", Name: "batch", Handler: func(w http.ResponseWriter, r *http.Request) {
+			g.ch.ServeBatch(w, r, g.maxBody(), batchReplicateConcurrency, g.replicateItem)
+		}},
+		{Pattern: "GET /v1/images/{id}", Name: "get", Weight: 1, Handler: g.handleProxy},
+		{Pattern: "GET /v1/images/{id}/params", Name: "params", Weight: 1, Handler: g.handleProxy},
+		{Pattern: "GET /v1/images/{id}/transformed", Name: "transformed", Weight: 2, Handler: g.handleProxy},
+		{Pattern: "GET /v1/images/{id}/pixels", Name: "pixels", Weight: 2, Handler: g.handleProxy},
+		{Pattern: "GET /v1/search", Name: "search", Weight: 2, Handler: g.handleSearch},
+		{Pattern: "POST /v1/search", Name: "search", Weight: 2, Handler: g.handleSearch},
+	}, admission.Config{
+		Capacity:   cfg.MaxInflight,
+		MaxWait:    cfg.AdmitWait,
+		MaxQueue:   cfg.AdmitQueue,
+		RetryAfter: cfg.AdmitRetryAfter,
+	}, DefaultGatewayInflightPerProc)
 	for _, raw := range cfg.Shards {
 		if _, err := g.addShard(raw); err != nil {
 			return nil, err
@@ -250,86 +259,7 @@ func (g *Gateway) maxBody() int64 {
 // SetDraining flips the gateway's own healthz to 503 so an upstream load
 // balancer stops routing to it before shutdown. Admission tightens too:
 // requests that would queue are shed immediately.
-func (g *Gateway) SetDraining(v bool) {
-	g.draining.Store(v)
-	g.admission().SetDraining(v)
-}
-
-// Route names for admission weights and latency histograms. The client-facing
-// surface mirrors internal/psp, so the names match the PSP's.
-var gatewayRouteWeights = map[string]int{
-	"upload":      1,
-	"batch":       0, // items pay per unit inside the worker pool
-	"list":        1,
-	"get":         1,
-	"params":      1,
-	"transformed": 2,
-	"pixels":      2,
-	"search":      2, // fans out to every shard, so it pays the heavy weight
-}
-
-// admission returns the gateway's admission controller, built on first use.
-// A negative MaxInflight yields nil, which admits everything.
-func (g *Gateway) admission() *admission.Controller {
-	g.admitOnce.Do(func() {
-		if g.cfg.MaxInflight < 0 {
-			return
-		}
-		capacity := g.cfg.MaxInflight
-		if capacity == 0 {
-			capacity = DefaultGatewayInflightPerProc * runtime.GOMAXPROCS(0)
-		}
-		g.admit = admission.New(admission.Config{
-			Capacity:   capacity,
-			MaxWait:    g.cfg.AdmitWait,
-			MaxQueue:   g.cfg.AdmitQueue,
-			RetryAfter: g.cfg.AdmitRetryAfter,
-		})
-		g.admit.SetDraining(g.draining.Load())
-	})
-	return g.admit
-}
-
-// latency returns the route's histogram from the fixed, read-only map.
-func (g *Gateway) latency(route string) *stats.Histogram {
-	g.latOnce.Do(func() {
-		g.lat = make(map[string]*stats.Histogram, len(gatewayRouteWeights))
-		for name := range gatewayRouteWeights {
-			g.lat[name] = &stats.Histogram{}
-		}
-	})
-	return g.lat[route]
-}
-
-// withAdmission fronts a client-facing route with admission control and
-// latency recording, mirroring the PSP server's behavior: sheds answer 429
-// with a fractional-seconds Retry-After and the overloaded error class.
-func (g *Gateway) withAdmission(route string, h http.HandlerFunc) http.HandlerFunc {
-	weight := gatewayRouteWeights[route]
-	hist := g.latency(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		if weight > 0 {
-			ctl := g.admission()
-			release, out := ctl.Acquire(r.Context(), weight)
-			if out != admission.Admitted {
-				writeGatewayOverloaded(w, ctl.RetryAfterHint(), out)
-				return
-			}
-			defer release()
-		}
-		start := time.Now()
-		h(w, r)
-		hist.Record(time.Since(start))
-	}
-}
-
-func writeGatewayOverloaded(w http.ResponseWriter, hint time.Duration, out admission.Outcome) {
-	if hint > 0 {
-		w.Header().Set("Retry-After", strconv.FormatFloat(hint.Seconds(), 'f', 3, 64))
-	}
-	w.Header().Set(psp.ErrorClassHeader, psp.ErrorClassOverloaded)
-	http.Error(w, fmt.Sprintf("overloaded (%s)", out), http.StatusTooManyRequests)
-}
+func (g *Gateway) SetDraining(v bool) { g.ch.SetDraining(v) }
 
 // replicaShards returns the shard structs for key's replica set, ring
 // order.
@@ -488,26 +418,7 @@ func isCorrupt(resp *shardResp) bool {
 //	GET  /v1/admin/shards                 membership + breaker states
 //	POST /v1/admin/shards                 {"op":"join"|"leave","shard":URL}
 //	POST /v1/admin/repair                 full verify/re-replicate walk
-func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	// healthz, statz, and admin routes bypass admission: they are how
-	// operators observe and repair an overloaded cluster.
-	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
-	mux.HandleFunc("GET /v1/statz", g.handleStatz)
-	mux.HandleFunc("GET /v1/admin/shards", g.handleShardsGet)
-	mux.HandleFunc("POST /v1/admin/shards", g.handleShardsPost)
-	mux.HandleFunc("POST /v1/admin/repair", g.handleRepair)
-	mux.HandleFunc("GET /v1/images", g.withAdmission("list", g.handleList))
-	mux.HandleFunc("POST /v1/images", g.withAdmission("upload", g.handleUpload))
-	mux.HandleFunc("POST /v1/images:batch", g.withAdmission("batch", g.handleBatch))
-	mux.HandleFunc("GET /v1/images/{id}", g.withAdmission("get", g.handleProxy))
-	mux.HandleFunc("GET /v1/images/{id}/params", g.withAdmission("params", g.handleProxy))
-	mux.HandleFunc("GET /v1/images/{id}/transformed", g.withAdmission("transformed", g.handleProxy))
-	mux.HandleFunc("GET /v1/images/{id}/pixels", g.withAdmission("pixels", g.handleProxy))
-	mux.HandleFunc("GET /v1/search", g.withAdmission("search", g.handleSearch))
-	mux.HandleFunc("POST /v1/search", g.withAdmission("search", g.handleSearch))
-	return mux
-}
+func (g *Gateway) Handler() http.Handler { return g.ch.Handler() }
 
 // GatewayHealth is the gateway's GET /v1/healthz body.
 type GatewayHealth struct {
@@ -517,11 +428,8 @@ type GatewayHealth struct {
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if g.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(GatewayHealth{Status: "draining"})
+	if g.ch.Draining() {
+		psp.WriteHealth(w, false, GatewayHealth{Status: "draining"})
 		return
 	}
 	g.mu.RLock()
@@ -534,15 +442,12 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	g.mu.RUnlock()
 	h := GatewayHealth{Status: "ok", Shards: total, Healthy: healthy}
-	w.Header().Set("Content-Type", "application/json")
 	if healthy == 0 {
 		h.Status = "unavailable"
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
 	} else if healthy < total {
 		h.Status = "degraded"
 	}
-	_ = json.NewEncoder(w).Encode(h)
+	psp.WriteHealth(w, healthy > 0, h)
 }
 
 // ShardStatz is the per-shard block of the statz body. BreakerState,
@@ -610,13 +515,7 @@ func (g *Gateway) Stats() Statz {
 			BreakerRecoveries: sh.breaker.Recoveries(),
 		}
 	}
-	out.Admission = g.admission().Stats()
-	out.LatencyNs = make(map[string]stats.HistogramSnapshot, len(gatewayRouteWeights))
-	for name := range gatewayRouteWeights {
-		if h := g.latency(name); h.Count() > 0 {
-			out.LatencyNs[name] = h.Snapshot()
-		}
-	}
+	out.Admission, out.LatencyNs = g.ch.Stats()
 	return out
 }
 
@@ -778,187 +677,40 @@ func (g *Gateway) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// gatewayBatchItem is one in-flight batch entry: the reader loop fills it,
-// a worker replicates it and writes *slot. Workers never touch the slot
-// slice itself, so the reader can keep appending without a lock.
-type gatewayBatchItem struct {
-	slot   *psp.BatchResult
-	key    string
-	raw    bool // body is raw JPEG bytes, not UploadRequest JSON
-	body   []byte
-	params []byte
-	failed bool
-}
-
-// handleBatch accepts the same multipart batch protocol as the PSP's
-// /v1/images:batch (JSON parts carrying an UploadRequest body, or raw
-// image/jpeg parts with an optional adjacent params part, each with an
-// optional per-part Idempotency-Key) and replicates every item through the
-// ring — items hash to different replica sets, so a batch spreads across
-// the cluster. Raw items are wrapped into an UploadRequest document before
-// replication, so shards see the same PUT body either way. Items replicate
-// with bounded concurrency while later parts are still streaming in;
-// results keep item order.
-func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	limit := g.maxBody()
-	r.Body = http.MaxBytesReader(w, r.Body, batchBodyFactor*limit)
-	mr, err := r.MultipartReader()
-	if err != nil {
-		http.Error(w, fmt.Sprintf("batch requires multipart/form-data: %v", err), http.StatusBadRequest)
-		return
+// replicateItem is the gateway's per-item batch step (see
+// psp.Chassis.ServeBatch): every item replicates through the ring like a
+// single upload, so a batch spreads across the cluster. Raw items are
+// wrapped into an UploadRequest document, so shards see the same PUT body
+// either way.
+func (g *Gateway) replicateItem(p psp.BatchPart) psp.BatchResult {
+	key := p.Key
+	if key == "" {
+		key = newUploadKey()
 	}
-	var (
-		wg    sync.WaitGroup
-		slots []*psp.BatchResult
-	)
-	sem := make(chan struct{}, batchReplicateConcurrency)
-	dispatch := func(it *gatewayBatchItem) {
-		if it == nil || it.failed {
-			return
-		}
-		wg.Add(1)
-		// Acquire the slot inside the goroutine so the read loop never
-		// stops draining the socket (a paused reader closes the TCP window
-		// and the client stalls on the persist timer); buffered parts are
-		// bounded by the whole-batch body cap regardless.
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Per-item admission, mirroring the PSP batch route: the
-			// envelope was free, each replicated item pays one unit, and a
-			// shed lands as a 429 in that item's result slot.
-			ctl := g.admission()
-			release, admitted := ctl.Acquire(r.Context(), 1)
-			if admitted != admission.Admitted {
-				*it.slot = psp.BatchResult{
-					Error:  fmt.Sprintf("overloaded (%s); retry after %.3fs", admitted, ctl.RetryAfterHint().Seconds()),
-					Status: http.StatusTooManyRequests,
-				}
-				return
-			}
-			defer release()
-			body := it.body
-			if it.raw {
-				wrapped, err := json.Marshal(psp.UploadRequest{Image: it.body, Params: it.params})
-				if err != nil {
-					*it.slot = psp.BatchResult{Error: fmt.Sprintf("encode upload: %v", err), Status: http.StatusInternalServerError}
-					return
-				}
-				body = wrapped
-			}
-			out := g.replicateUpload(body, it.key, "application/json")
-			res := psp.BatchResult{ID: out.id}
-			switch {
-			case out.clientResp != nil:
-				res = psp.BatchResult{
-					Error:  string(bytes.TrimSpace(out.clientResp.body)),
-					Status: out.clientResp.status,
-				}
-			case out.unavailable:
-				res = psp.BatchResult{Error: out.msg, Status: http.StatusServiceUnavailable}
-			}
-			*it.slot = res
-		}()
-	}
-	var pending *gatewayBatchItem
-	fail := func(status int, format string, args ...any) {
-		dispatch(pending)
-		wg.Wait()
-		if status != 0 {
-			http.Error(w, fmt.Sprintf(format, args...), status)
-		}
-	}
-	for i := 0; ; i++ {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			break
-		}
+	// Straggler PUTs read the body after replicateUpload returns at write
+	// quorum, so it must not alias the reader's pooled part buffers:
+	// json.Marshal copies a raw item, and a JSON item is cloned.
+	var body []byte
+	if p.Raw {
+		wrapped, err := json.Marshal(psp.UploadRequest{Image: p.Body, Params: p.Params})
 		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				fail(http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", mbe.Limit)
-				return
-			}
-			fail(0, "") // stream died mid-batch: no one to answer
-			return
+			return psp.BatchResult{Error: fmt.Sprintf("encode upload: %v", err), Status: http.StatusInternalServerError}
 		}
-		if i >= batchMaxParts {
-			fail(http.StatusBadRequest, "batch exceeds %d parts", batchMaxParts)
-			return
-		}
-
-		isParams := part.FormName() == psp.BatchParamsPart
-		if isParams && (pending == nil || !pending.raw) {
-			fail(http.StatusBadRequest, "params part without a preceding image part")
-			return
-		}
-
-		var buf bytes.Buffer
-		n, rerr := io.Copy(&buf, io.LimitReader(part, limit+1))
-		if rerr != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(rerr, &mbe) {
-				fail(http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", mbe.Limit)
-				return
-			}
-			fail(0, "")
-			return
-		}
-
-		if isParams {
-			if n > limit {
-				pending.slot.Error = fmt.Sprintf("params part exceeds %d bytes", limit)
-				pending.slot.Status = http.StatusRequestEntityTooLarge
-				pending.failed = true
-			} else if !pending.failed {
-				pending.params = buf.Bytes()
-			}
-			dispatch(pending)
-			pending = nil
-			continue
-		}
-
-		dispatch(pending)
-		pending = nil
-
-		key := strings.TrimSpace(part.Header.Get("Idempotency-Key"))
-		if key == "" {
-			key = newUploadKey()
-		}
-		it := &gatewayBatchItem{
-			slot: new(psp.BatchResult),
-			key:  key,
-			raw:  strings.HasPrefix(part.Header.Get("Content-Type"), "image/"),
-			body: buf.Bytes(),
-		}
-		slots = append(slots, it.slot)
-		if n > limit {
-			it.body = nil
-			it.failed = true
-			*it.slot = psp.BatchResult{
-				Error:  fmt.Sprintf("part exceeds %d bytes", limit),
-				Status: http.StatusRequestEntityTooLarge,
-			}
-		}
-		if it.raw {
-			pending = it
-		} else if !it.failed {
-			dispatch(it)
-		}
+		body = wrapped
+	} else {
+		body = bytes.Clone(p.Body)
 	}
-	dispatch(pending)
-	wg.Wait()
-	if len(slots) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
+	out := g.replicateUpload(body, key, "application/json")
+	switch {
+	case out.clientResp != nil:
+		return psp.BatchResult{
+			Error:  string(bytes.TrimSpace(out.clientResp.body)),
+			Status: out.clientResp.status,
+		}
+	case out.unavailable:
+		return psp.BatchResult{Error: out.msg, Status: http.StatusServiceUnavailable}
 	}
-	results := make([]psp.BatchResult, len(slots))
-	for i, slot := range slots {
-		results[i] = *slot
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(psp.BatchResponse{Results: results})
+	return psp.BatchResult{ID: out.id}
 }
 
 // classifyUpload folds one PUT outcome into breaker state and an ack.
@@ -1143,7 +895,7 @@ func (g *Gateway) serveProxied(w http.ResponseWriter, r *http.Request, id string
 	for _, sh := range corrupt {
 		g.goRepair(id, sh)
 	}
-	if !g.cfg.DisableReadVerify && r.URL.Path == "/v1/images/"+id {
+	if r.URL.Path == "/v1/images/"+id {
 		if etag := resp.header.Get("ETag"); etag != "" && g.markVerified(id) {
 			go g.verifyReplicas(id, etag, from)
 		}

@@ -31,12 +31,14 @@ func benchJPEG(b *testing.B) []byte {
 // pair below serves this one spec so the thumb-gate ratio is like-for-like.
 var benchThumbSpec = transform.Spec{Op: transform.OpScale, FactorX: 0.125, FactorY: 0.125}
 
-func benchServer(b *testing.B, variantBytes, coeffBytes int64) (*Server, http.Handler, string) {
+// benchServer stores the bench fixture with params (nil for an unprotected
+// image) behind a server with the given cache budgets.
+func benchServer(b *testing.B, variantBytes, coeffBytes int64, params []byte) (*Server, http.Handler, string) {
 	b.Helper()
 	srv := NewServer()
 	srv.VariantCacheBytes = variantBytes
 	srv.CoeffCacheBytes = coeffBytes
-	if _, err := srv.st().Put("bench", benchJPEG(b), nil, ""); err != nil {
+	if _, err := srv.st().Put("bench", benchJPEG(b), params, ""); err != nil {
 		b.Fatal(err)
 	}
 	raw, _ := benchThumbSpec.MarshalJSON()
@@ -57,12 +59,12 @@ func serveOnce(b *testing.B, h http.Handler, path string) *httptest.ResponseReco
 // BenchmarkServeTransformedCold is the uncached full-resolution serving
 // path at the thumbnail spec: full JPEG decode, pixel-domain resample,
 // optimized re-encode per request — what every thumbnail request cost
-// before the scaled-decode path. The planner is disabled so this row keeps
-// measuring the full path (the thumb-gate baseline the scaled-decode rows
-// are compared against).
+// before the scaled-decode path. The fixture is stored with public
+// parameters, so the production rule for protected images serves it down
+// the full path (the thumb-gate baseline the scaled-decode rows are
+// compared against).
 func BenchmarkServeTransformedCold(b *testing.B) {
-	srv, h, path := benchServer(b, -1, -1)
-	srv.DisableScaledDecode = true
+	_, h, path := benchServer(b, -1, -1, benchParams)
 	serveOnce(b, h, path) // warm pools, fault in code paths
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -78,19 +80,22 @@ func BenchmarkServeTransformedCold(b *testing.B) {
 // plane, encode. The thumb-gate requires this ≥5x faster than
 // BenchmarkServeTransformedCold.
 func BenchmarkServeThumbnailCold(b *testing.B) {
-	benchThumbnailCold(b, false)
+	benchThumbnailCold(b, nil)
 }
 
-// BenchmarkServeThumbnailColdFullPath is the same workload with the
-// planner disabled — the honest like-for-like cost of the fast path's
-// marginal win (reported for transparency, not gated).
+// BenchmarkServeThumbnailColdFullPath is the same workload on a protected
+// fixture, which the planner never serves — the honest like-for-like cost
+// of the fast path's marginal win (reported for transparency, not gated).
 func BenchmarkServeThumbnailColdFullPath(b *testing.B) {
-	benchThumbnailCold(b, true)
+	benchThumbnailCold(b, benchParams)
 }
 
-func benchThumbnailCold(b *testing.B, disableScaled bool) {
-	srv, h, path := benchServer(b, -1, 0)
-	srv.DisableScaledDecode = disableScaled
+// benchParams is a public-parameter document: any stored params mark an
+// image protected, and protected images always take the full path.
+var benchParams = []byte(`{"v":1}`)
+
+func benchThumbnailCold(b *testing.B, params []byte) {
+	_, h, path := benchServer(b, -1, 0, params)
 	serveOnce(b, h, path) // warm the coefficient cache and pools
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -101,7 +106,7 @@ func benchThumbnailCold(b *testing.B, disableScaled bool) {
 // BenchmarkServeTransformedHot is the steady-state hot path: the encoded
 // variant is cached, so a request is a cache probe plus a buffer write.
 func BenchmarkServeTransformedHot(b *testing.B) {
-	srv, h, path := benchServer(b, 0, 0)
+	srv, h, path := benchServer(b, 0, 0, nil)
 	serveOnce(b, h, path) // prime the caches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -116,7 +121,7 @@ func BenchmarkServeTransformedHot(b *testing.B) {
 // BenchmarkServeTransformedNotModified is the conditional-GET path: the
 // client revalidates with If-None-Match and gets a bodyless 304.
 func BenchmarkServeTransformedNotModified(b *testing.B) {
-	_, h, path := benchServer(b, 0, 0)
+	_, h, path := benchServer(b, 0, 0, nil)
 	etag := serveOnce(b, h, path).Header().Get("ETag")
 	if etag == "" {
 		b.Fatal("no ETag")
@@ -137,7 +142,7 @@ func BenchmarkServeTransformedNotModified(b *testing.B) {
 // GOMAXPROCS procs at once, measuring shard-lock contention on the
 // variant cache.
 func BenchmarkServeTransformedConcurrent(b *testing.B) {
-	_, h, path := benchServer(b, 0, 0)
+	_, h, path := benchServer(b, 0, 0, nil)
 	serveOnce(b, h, path)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -153,7 +158,7 @@ func BenchmarkServeTransformedConcurrent(b *testing.B) {
 // request sharing the result. The computations/burst metric asserts that.
 func BenchmarkServeTransformedCollapse(b *testing.B) {
 	const burst = 8
-	srv, h, _ := benchServer(b, 0, 0)
+	srv, h, _ := benchServer(b, 0, 0, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh factor per iteration makes a unique cache key, so every

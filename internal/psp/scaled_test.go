@@ -46,8 +46,8 @@ func expectedBytes(t *testing.T, out *jpegc.Image) []byte {
 }
 
 // TestTransformedUsesPlanner pins the serve-path routing: an unprotected
-// image's thumbnail comes from the scaled-decode planner, and flipping
-// DisableScaledDecode produces the full path's bytes instead.
+// image's thumbnail comes from the scaled-decode planner, not the full path
+// (whose bytes TestTransformedProtectedKeepsFullPath pins).
 func TestTransformedUsesPlanner(t *testing.T) {
 	stored := scaledFixtureJPEG(t)
 	img, err := jpegc.Decode(bytes.NewReader(stored))
@@ -75,16 +75,6 @@ func TestTransformedUsesPlanner(t *testing.T) {
 	got, _ := serveTransformed(t, srv, "img", spec)
 	if !bytes.Equal(got, wantPlanned) {
 		t.Fatal("unprotected /transformed did not serve the planner path's bytes")
-	}
-
-	off := NewServer()
-	off.DisableScaledDecode = true
-	if _, err := off.st().Put("img", stored, nil, ""); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = serveTransformed(t, off, "img", spec)
-	if !bytes.Equal(got, wantFull) {
-		t.Fatal("DisableScaledDecode did not serve the full path's bytes")
 	}
 }
 

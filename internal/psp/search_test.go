@@ -155,8 +155,8 @@ func TestSearchStatzCounters(t *testing.T) {
 		t.Fatalf("queries/hits = %d/%d, want 1/1", st.Search.Queries, st.Search.Hits)
 	}
 	// ... and the search route records latency like any other route.
-	if _, ok := st.LatencyNs[routeSearch]; !ok {
-		t.Fatalf("statz has no %q latency histogram: %v", routeSearch, st.LatencyNs)
+	if _, ok := st.LatencyNs["search"]; !ok {
+		t.Fatalf("statz has no %q latency histogram: %v", "search", st.LatencyNs)
 	}
 }
 

@@ -14,9 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,6 +22,7 @@ import (
 
 	"puppies/internal/admission"
 	"puppies/internal/jpegc"
+	"puppies/internal/parallel"
 	"puppies/internal/searchidx"
 	"puppies/internal/stats"
 	"puppies/internal/transform"
@@ -54,12 +53,8 @@ type Server struct {
 	VariantCacheBytes int64
 	CoeffCacheBytes   int64
 
-	// DrainRetryAfter is the Retry-After hint healthz sends while
-	// draining. Zero means 1 second. Set before Handler is used.
-	DrainRetryAfter time.Duration
-
 	// MaxInflight caps concurrently served requests in weighted units
-	// (transform routes count double — see routeWeights). Requests beyond
+	// (transform routes count double — see the route table in chassis). Requests beyond
 	// it queue briefly and are then shed with 429 + Retry-After. Zero means
 	// DefaultInflightPerProc per GOMAXPROCS; negative disables admission
 	// control. Set before Handler is used.
@@ -80,13 +75,6 @@ type Server struct {
 	// restarts. Nil means a fresh in-memory index.
 	SearchIndex *searchidx.Index
 
-	// DisableScaledDecode forces every /transformed compute down the
-	// full-resolution path, bypassing the scaled-decode planner
-	// (transform.ApplyPlanned). Serving stays correct either way — the knob
-	// exists for benchmarking the pre-planner baseline and as an
-	// operational escape hatch. Set before Handler is used.
-	DisableScaledDecode bool
-
 	searchOnce    sync.Once
 	searchQueries atomic.Uint64
 	searchHits    atomic.Uint64
@@ -97,132 +85,50 @@ type Server struct {
 	cacheOnce sync.Once
 	scache    *serveCache
 
-	admitOnce sync.Once
-	admit     *admission.Controller
-
-	latOnce sync.Once
-	lat     map[string]*stats.Histogram
-
-	draining atomic.Bool
+	chOnce sync.Once
+	ch     *Chassis
 }
 
-// DefaultInflightPerProc scales the default admission capacity: weighted
-// units of concurrently served requests per GOMAXPROCS. Generous on purpose
-// — admission control exists to stop queue collapse under extreme overload,
-// not to throttle ordinary bursts.
-const DefaultInflightPerProc = 16
-
-// Route names used for admission weights and latency histograms.
-const (
-	routeUpload      = "upload"
-	routeBatch       = "batch"
-	routePut         = "put"
-	routeList        = "list"
-	routeGet         = "get"
-	routeParams      = "params"
-	routeTransformed = "transformed"
-	routePixels      = "pixels"
-	routeSearch      = "search"
-)
-
-// routeWeights prices each route in admission units: transform routes do
-// decode + DCT-domain work and are roughly twice the cost of a store
-// read/write. The batch envelope is free (weight 0) — each batch item
-// acquires its own unit inside the worker pool, so a batch sheds per item
-// instead of all-or-nothing.
-var routeWeights = map[string]int{
-	routeUpload:      1,
-	routeBatch:       0,
-	routePut:         1,
-	routeList:        1,
-	routeGet:         1,
-	routeParams:      1,
-	routeTransformed: 2,
-	routePixels:      2,
-	// Search by image bytes decodes a JPEG like the transform routes do;
-	// the by-ID form is cheaper but shares the route.
-	routeSearch: 2,
-}
-
-// admission returns the admission controller, built on first use from the
-// configured knobs. A negative MaxInflight yields nil, which admits
-// everything.
-func (s *Server) admission() *admission.Controller {
-	s.admitOnce.Do(func() {
-		if s.MaxInflight < 0 {
-			return
-		}
-		capacity := s.MaxInflight
-		if capacity == 0 {
-			capacity = DefaultInflightPerProc * runtime.GOMAXPROCS(0)
-		}
-		s.admit = admission.New(admission.Config{
-			Capacity:   capacity,
+// chassis returns the serving chassis, built on first use from the
+// admission knobs. Its route table prices each route in admission units:
+// transform routes do decode + DCT-domain work and cost roughly twice a
+// store read/write, and search by image bytes decodes a JPEG too (the by-ID
+// form is cheaper but shares the route). The batch envelope is free — each
+// item acquires its own unit inside the batch reader, so a batch sheds per
+// item instead of all-or-nothing. healthz and statz bypass admission: they
+// are how operators and gateways observe an overloaded server.
+func (s *Server) chassis() *Chassis {
+	s.chOnce.Do(func() {
+		s.ch = NewChassis([]Route{
+			{"GET /v1/healthz", "", 0, s.handleHealthz},
+			{"GET /v1/statz", "", 0, s.handleStatz},
+			{"GET /v1/images", "list", 1, s.handleList},
+			{"POST /v1/images", "upload", 1, s.handleUpload},
+			{"POST /v1/images:batch", "batch", 0, func(w http.ResponseWriter, r *http.Request) {
+				s.chassis().ServeBatch(w, r, s.maxUpload(), parallel.Workers(), s.storeBatchItem)
+			}},
+			{"PUT /v1/images/{id}", "put", 1, s.handlePutImage},
+			{"GET /v1/images/{id}", "get", 1, s.handleGet},
+			{"GET /v1/images/{id}/params", "params", 1, s.handleParams},
+			{"GET /v1/images/{id}/transformed", "transformed", 2, s.handleTransformed},
+			{"GET /v1/images/{id}/pixels", "pixels", 2, s.handlePixels},
+			{"GET /v1/search", "search", 2, s.handleSearch},
+			{"POST /v1/search", "search", 2, s.handleSearch},
+		}, admission.Config{
+			Capacity:   s.MaxInflight,
 			MaxWait:    s.AdmitWait,
 			MaxQueue:   s.AdmitQueue,
 			RetryAfter: s.AdmitRetryAfter,
-		})
-		s.admit.SetDraining(s.draining.Load())
+		}, DefaultInflightPerProc)
 	})
-	return s.admit
-}
-
-// latency returns the route's histogram; routes are fixed so the map is
-// built once and only ever read afterwards.
-func (s *Server) latency(route string) *stats.Histogram {
-	s.latOnce.Do(func() {
-		s.lat = make(map[string]*stats.Histogram, len(routeWeights))
-		for name := range routeWeights {
-			s.lat[name] = &stats.Histogram{}
-		}
-	})
-	return s.lat[route]
-}
-
-// withAdmission fronts a handler with admission control and latency
-// recording. Shed requests answer 429 with a Retry-After hint and the
-// overloaded error class; admitted requests release their units when the
-// handler returns and record wall time into the route histogram.
-func (s *Server) withAdmission(route string, h http.HandlerFunc) http.HandlerFunc {
-	weight := routeWeights[route]
-	hist := s.latency(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		if weight > 0 {
-			ctl := s.admission()
-			release, out := ctl.Acquire(r.Context(), weight)
-			if out != admission.Admitted {
-				writeOverloaded(w, ctl.RetryAfterHint(), out)
-				return
-			}
-			defer release()
-		}
-		start := time.Now()
-		h(w, r)
-		hist.Record(time.Since(start))
-	}
-}
-
-// writeOverloaded is the one shed response shape: 429, a fractional-seconds
-// Retry-After the client honors exactly, and the overloaded error class so
-// StatusError maps it to ErrOverloaded.
-func writeOverloaded(w http.ResponseWriter, hint time.Duration, out admission.Outcome) {
-	if hint > 0 {
-		w.Header().Set("Retry-After", strconv.FormatFloat(hint.Seconds(), 'f', 3, 64))
-	}
-	w.Header().Set(errorClassHeader, errorClassOverloaded)
-	httpError(w, http.StatusTooManyRequests, "overloaded (%s)", out)
+	return s.ch
 }
 
 // SetDraining flips the server into (or out of) draining mode: GET
-// /v1/healthz answers 503 with a Retry-After hint while every other route
-// keeps serving. Flipping this the moment shutdown begins lets routing
-// gateways stop sending new traffic before in-flight requests finish.
-// Admission tightens too: requests that would have to queue are shed
-// immediately, so shutdown never grows a backlog it is about to abandon.
-func (s *Server) SetDraining(v bool) {
-	s.draining.Store(v)
-	s.admission().SetDraining(v)
-}
+// /v1/healthz answers 503 with Retry-After while every other route keeps
+// serving, and requests that would have to queue for admission are shed
+// (see Chassis.SetDraining).
+func (s *Server) SetDraining(v bool) { s.chassis().SetDraining(v) }
 
 // NewServer returns a PSP over an ephemeral in-memory store.
 func NewServer() *Server {
@@ -329,44 +235,18 @@ type HealthResponse struct {
 // Transformed and pixel outputs are served through the cache layer (see
 // cache.go): an encoded-variant LRU over a decoded-coefficient LRU, with
 // concurrent identical requests collapsed into one computation.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	// healthz and statz bypass admission: they are how operators and
-	// gateways observe an overloaded server, so they must answer even when
-	// everything else sheds.
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/statz", s.handleStatz)
-	mux.HandleFunc("GET /v1/images", s.withAdmission(routeList, s.handleList))
-	mux.HandleFunc("POST /v1/images", s.withAdmission(routeUpload, s.handleUpload))
-	mux.HandleFunc("POST /v1/images:batch", s.withAdmission(routeBatch, s.handleBatch))
-	mux.HandleFunc("PUT /v1/images/{id}", s.withAdmission(routePut, s.handlePutImage))
-	mux.HandleFunc("GET /v1/images/{id}", s.withAdmission(routeGet, s.handleGet))
-	mux.HandleFunc("GET /v1/images/{id}/params", s.withAdmission(routeParams, s.handleParams))
-	mux.HandleFunc("GET /v1/images/{id}/transformed", s.withAdmission(routeTransformed, s.handleTransformed))
-	mux.HandleFunc("GET /v1/images/{id}/pixels", s.withAdmission(routePixels, s.handlePixels))
-	mux.HandleFunc("GET /v1/search", s.withAdmission(routeSearch, s.handleSearch))
-	mux.HandleFunc("POST /v1/search", s.withAdmission(routeSearch, s.handleSearch))
-	return mux
-}
+func (s *Server) Handler() http.Handler { return s.chassis().Handler() }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.draining.Load() {
-		retry := s.DrainRetryAfter
-		if retry <= 0 {
-			retry = time.Second
-		}
-		secs := int64((retry + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(HealthResponse{Status: "draining", Images: s.Len()})
-		return
+	h := HealthResponse{Status: "ok", Images: s.Len()}
+	if s.chassis().Draining() {
+		h.Status = "draining"
 	}
-	_ = json.NewEncoder(w).Encode(HealthResponse{Status: "ok", Images: s.Len()})
+	WriteHealth(w, h.Status == "ok", h)
 }
 
 // StatzResponse is the GET /v1/statz body: cache statistics plus admission
@@ -380,15 +260,10 @@ type StatzResponse struct {
 
 // Statz snapshots the full server statistics (the /v1/statz body).
 func (s *Server) Statz() StatzResponse {
-	lat := make(map[string]stats.HistogramSnapshot, len(routeWeights))
-	for name := range routeWeights {
-		if h := s.latency(name); h.Count() > 0 {
-			lat[name] = h.Snapshot()
-		}
-	}
+	adm, lat := s.chassis().Stats()
 	return StatzResponse{
 		CacheStatsResponse: s.CacheStats(),
-		Admission:          s.admission().Stats(),
+		Admission:          adm,
 		Search:             s.searchStats(),
 		LatencyNs:          lat,
 	}
@@ -729,7 +604,7 @@ func (s *Server) handleTransformed(w http.ResponseWriter, r *http.Request) {
 // The path choice depends only on immutable per-image state and the spec,
 // so a given variant cache key always computes the same bytes.
 func (s *Server) applyTransform(e *entry, img *jpegc.Image, spec transform.Spec) (*jpegc.Image, error) {
-	if s.DisableScaledDecode || !paramsEqual(e.params, nil) {
+	if !paramsEqual(e.params, nil) {
 		return transform.Apply(img, spec)
 	}
 	return transform.ApplyPlanned(img, spec)
