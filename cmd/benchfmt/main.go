@@ -1,22 +1,26 @@
-// Command benchfmt converts `go test -bench` output into a stable JSON
-// benchmark report, and compares two such reports for regressions.
+// Command benchfmt turns `go test -bench` output into the perf ledger,
+// checks a ledger against the gate table, and compares two ledgers.
 //
 // Format mode (default) reads benchmark output from stdin or the named
-// files and writes a JSON array of results. Repeated runs of a benchmark
-// (`-count N`) collapse to the fastest, so reports are best-of-N:
+// files and writes the ledger: the machine it was measured on (the `cpu:`
+// header, the GOMAXPROCS suffix of the benchmark names and the Go version)
+// and one row per benchmark, tagged with its layer (the last element of the
+// `pkg:` header above it). Lines that are not headers or benchmark results
+// are skipped. Repeated runs of a benchmark (`-count N`) collapse to the
+// fastest, so rows are best-of-N:
 //
-//	go test -bench . -benchmem -count 3 ./... | benchfmt -o BENCH.json
+//	go test -run '^$' -bench . -benchmem -count 3 ./internal/psp | benchfmt -o PERF.json
 //
-// Compare mode diffs two reports, printing a per-benchmark delta line, and
-// exits non-zero when any benchmark regressed by more than the threshold in
-// ns/op or allocs/op:
+// Gate mode checks one ledger against every bound in gates.go and exits
+// non-zero when a bound is missed or a row or metric it names is missing:
 //
-//	benchfmt -old BENCH_PR2.json -new BENCH_PR4.json
+//	benchfmt -new PERF.json
 //
-// By default every benchmark present in both reports is checked; -hot
-// restricts the gate to named benchmarks (and makes their absence from the
-// new report a failure). The older positional spelling
-// `benchfmt -compare -hot Name1,Name2 old.json new.json` is kept working.
+// Compare mode diffs every row of two ledgers and exits non-zero when a row
+// regressed by more than 10% in ns/op or allocs/op, or a baseline row is
+// missing from the candidate:
+//
+//	benchfmt -old old.json -new new.json
 package main
 
 import (
@@ -26,15 +30,36 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
 
+// regressionThreshold is the ns/op and allocs/op growth compare mode
+// tolerates before it reports a regression.
+const regressionThreshold = 0.10
+
+// Ledger is a perf report: the machine it was measured on and its rows.
+type Ledger struct {
+	Machine Machine  `json:"machine"`
+	Rows    []Result `json:"rows"`
+}
+
+// Machine identifies where a ledger was measured; absolute timings only
+// compare between ledgers from the same machine.
+type Machine struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
 // Result is one benchmark's parsed measurements.
 type Result struct {
 	Name        string             `json:"name"`
+	Layer       string             `json:"layer"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	MBPerS      float64            `json:"mb_per_s,omitempty"`
@@ -43,36 +68,59 @@ type Result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
+var (
+	benchLine  = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
+	procSuffix = regexp.MustCompile(`-(\d+)$`)
+)
 
-// parse reads `go test -bench` output and returns one Result per benchmark
-// line, sorted by name. A benchmark appearing more than once (e.g. from
-// `-count N`) keeps its fastest run — measurement noise on a shared box is
-// purely additive, so best-of-N is the run closest to the true cost. The
-// whole fastest line is kept, not per-metric minima, so a report row is
-// always one self-consistent measurement.
-func parse(r io.Reader) ([]Result, error) {
+// parse reads `go test -bench` output and returns its ledger, rows sorted
+// by name. A benchmark appearing more than once (e.g. from `-count N`)
+// keeps its fastest run — measurement noise on a shared box is purely
+// additive, so best-of-N is the run closest to the true cost. The whole
+// fastest line is kept, not per-metric minima, so a row is always one
+// self-consistent measurement.
+func parse(r io.Reader) (Ledger, error) {
+	l := Ledger{Machine: Machine{Go: runtime.Version()}}
 	byName := map[string]Result{}
+	layer := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
+		line := strings.TrimSpace(sc.Text())
+		if v, ok := strings.CutPrefix(line, "pkg: "); ok {
+			layer = path.Base(strings.TrimSpace(v))
+			continue
+		}
+		if v, ok := strings.CutPrefix(line, "cpu: "); ok {
+			l.Machine.CPU = strings.TrimSpace(v)
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		// Strip the -GOMAXPROCS suffix so reports from different machines
-		// compare by logical benchmark name.
-		name := regexp.MustCompile(`-\d+$`).ReplaceAllString(m[1], "")
+		// The -GOMAXPROCS suffix (absent when it is 1) goes into the
+		// machine stamp, so rows compare by logical benchmark name.
+		name, procs := m[1], 1
+		if s := procSuffix.FindStringSubmatch(name); s != nil {
+			name = strings.TrimSuffix(name, s[0])
+			procs, _ = strconv.Atoi(s[1])
+		}
+		if l.Machine.GOMAXPROCS == 0 {
+			l.Machine.GOMAXPROCS = procs
+		} else if procs != l.Machine.GOMAXPROCS {
+			return Ledger{}, fmt.Errorf("benchfmt: %s ran at GOMAXPROCS %d, earlier rows at %d", name, procs, l.Machine.GOMAXPROCS)
+		}
 		iters, err := strconv.ParseInt(m[2], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("benchfmt: bad iteration count in %q: %w", sc.Text(), err)
+			return Ledger{}, fmt.Errorf("benchfmt: bad iteration count in %q: %w", line, err)
 		}
-		res := Result{Name: name, Iterations: iters}
+		res := Result{Name: name, Layer: layer, Iterations: iters}
 		fields := strings.Fields(m[3])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchfmt: bad value %q in %q: %w", fields[i], sc.Text(), err)
+				return Ledger{}, fmt.Errorf("benchfmt: bad value %q in %q: %w", fields[i], line, err)
 			}
 			switch unit := fields[i+1]; unit {
 			case "ns/op":
@@ -95,88 +143,56 @@ func parse(r io.Reader) ([]Result, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return Ledger{}, err
 	}
-	out := make([]Result, 0, len(byName))
 	for _, r := range byName {
-		out = append(out, r)
+		l.Rows = append(l.Rows, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	sort.Slice(l.Rows, func(i, j int) bool { return l.Rows[i].Name < l.Rows[j].Name })
+	return l, nil
 }
 
-func readReport(path string) (map[string]Result, error) {
-	data, err := os.ReadFile(path)
+func readLedger(file string) (Ledger, error) {
+	data, err := os.ReadFile(file)
 	if err != nil {
-		return nil, err
+		return Ledger{}, err
 	}
-	var list []Result
-	if err := json.Unmarshal(data, &list); err != nil {
-		return nil, fmt.Errorf("benchfmt: %s: %w", path, err)
+	var l Ledger
+	if err := json.Unmarshal(data, &l); err != nil {
+		return Ledger{}, fmt.Errorf("benchfmt: %s: %w", file, err)
 	}
-	m := make(map[string]Result, len(list))
-	for _, r := range list {
+	return l, nil
+}
+
+func (l Ledger) byName() map[string]Result {
+	m := make(map[string]Result, len(l.Rows))
+	for _, r := range l.Rows {
 		m[r.Name] = r
 	}
-	return m, nil
+	return m
 }
 
-// compare prints a delta line per benchmark and reports whether any
-// regressed beyond threshold in ns/op or allocs/op. With an empty hot list
-// it checks every benchmark common to both reports; with an explicit list,
-// a benchmark missing from the new report is itself a failure.
-func compare(oldPath, newPath string, hot []string, threshold float64, w io.Writer) (failed bool, err error) {
-	oldR, err := readReport(oldPath)
-	if err != nil {
-		return false, err
+// compare prints a delta line per row of the baseline and reports whether
+// any regressed beyond regressionThreshold in ns/op or allocs/op, or is
+// missing from the candidate. Rows only in the candidate are listed as new.
+func compare(oldL, newL Ledger, w io.Writer) (failed bool) {
+	if oldL.Machine != newL.Machine {
+		fmt.Fprintf(w, "machines differ: old %+v, new %+v\n", oldL.Machine, newL.Machine)
 	}
-	newR, err := readReport(newPath)
-	if err != nil {
-		return false, err
-	}
-	names := hot
-	if len(names) == 0 {
-		var oldOnly, newOnly []string
-		for name := range oldR {
-			if _, ok := newR[name]; ok {
-				names = append(names, name)
-			} else {
-				oldOnly = append(oldOnly, name)
-			}
-		}
-		for name := range newR {
-			if _, ok := oldR[name]; !ok {
-				newOnly = append(newOnly, name)
-			}
-		}
-		sort.Strings(oldOnly)
-		sort.Strings(newOnly)
-		for _, name := range oldOnly {
-			fmt.Fprintf(w, "%-45s only in %s (skipped)\n", name, oldPath)
-		}
-		// A benchmark only in the new report has no baseline to gate
-		// against; warn so it is added to HOT_BENCHMARKS (or the baseline
-		// regenerated) rather than silently riding along ungated.
-		for _, name := range newOnly {
-			fmt.Fprintf(w, "%-45s WARNING: new benchmark, no baseline in %s (not gated)\n", name, oldPath)
-		}
-		sort.Strings(names)
-	}
-	for _, name := range names {
-		o, okO := oldR[name]
-		n, okN := newR[name]
+	newR := newL.byName()
+	oldR := oldL.byName()
+	for _, o := range oldL.Rows {
+		n, ok := newR[o.Name]
 		switch {
-		case !okO:
-			fmt.Fprintf(w, "%-45s missing from %s (skipped)\n", name, oldPath)
-		case !okN:
-			fmt.Fprintf(w, "%-45s MISSING from %s\n", name, newPath)
+		case !ok:
+			fmt.Fprintf(w, "%-45s MISSING from the candidate\n", o.Name)
 			failed = true
 		case o.NsPerOp <= 0:
-			fmt.Fprintf(w, "%-45s old ns/op is zero (skipped)\n", name)
+			fmt.Fprintf(w, "%-45s old ns/op is zero (skipped)\n", o.Name)
 		default:
 			ratio := n.NsPerOp/o.NsPerOp - 1
 			status := "ok"
-			if ratio > threshold {
+			if ratio > regressionThreshold {
 				status = "REGRESSION(ns/op)"
 				failed = true
 			}
@@ -184,183 +200,52 @@ func compare(oldPath, newPath string, hot []string, threshold float64, w io.Writ
 			if o.AllocsPerOp > 0 {
 				aRatio := n.AllocsPerOp/o.AllocsPerOp - 1
 				allocs = fmt.Sprintf("  %8.0f -> %8.0f allocs/op  %+7.2f%%", o.AllocsPerOp, n.AllocsPerOp, 100*aRatio)
-				if aRatio > threshold {
+				if aRatio > regressionThreshold {
 					status = "REGRESSION(allocs/op)"
 					failed = true
 				}
 			}
 			fmt.Fprintf(w, "%-45s %14.0f -> %14.0f ns/op  %+7.2f%%%s  %s\n",
-				name, o.NsPerOp, n.NsPerOp, 100*ratio, allocs, status)
+				o.Name, o.NsPerOp, n.NsPerOp, 100*ratio, allocs, status)
 		}
 	}
-	return failed, nil
-}
-
-// ratioExpr is one parsed -ratio assertion: value(num)/value(den) >= min,
-// where value is the named metric (default ns/op) from the NEW report.
-type ratioExpr struct {
-	num, den string
-	min      float64
-	unit     string
-}
-
-var ratioRE = regexp.MustCompile(`^([^/,]+)/([^>,]+)>=([0-9.]+)(?::(.+))?$`)
-
-func parseRatios(s string) ([]ratioExpr, error) {
-	var out []ratioExpr
-	for _, raw := range strings.Split(s, ",") {
-		raw = strings.TrimSpace(raw)
-		if raw == "" {
-			continue
+	for _, n := range newL.Rows {
+		if _, ok := oldR[n.Name]; !ok {
+			fmt.Fprintf(w, "%-45s new row, no baseline\n", n.Name)
 		}
-		m := ratioRE.FindStringSubmatch(raw)
-		if m == nil {
-			return nil, fmt.Errorf("benchfmt: bad -ratio expression %q (want NUM/DEN>=F[:unit])", raw)
-		}
-		min, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchfmt: bad -ratio bound in %q: %w", raw, err)
-		}
-		unit := m[4]
-		if unit == "" {
-			unit = "ns/op"
-		}
-		out = append(out, ratioExpr{num: strings.TrimSpace(m[1]), den: strings.TrimSpace(m[2]), min: min, unit: unit})
-	}
-	return out, nil
-}
-
-func (e ratioExpr) value(r Result) (float64, bool) {
-	switch e.unit {
-	case "ns/op":
-		return r.NsPerOp, r.NsPerOp > 0
-	case "MB/s":
-		return r.MBPerS, r.MBPerS > 0
-	case "B/op":
-		return r.BytesPerOp, r.BytesPerOp > 0
-	case "allocs/op":
-		return r.AllocsPerOp, r.AllocsPerOp > 0
-	default:
-		v, ok := r.Metrics[e.unit]
-		return v, ok && v > 0
-	}
-}
-
-// checkRatios enforces cross-benchmark assertions against the new report:
-// each expression requires value(num)/value(den) >= min. A missing
-// benchmark or metric fails — a perf guarantee that silently stops being
-// measured is a regression too.
-func checkRatios(newR map[string]Result, exprs []ratioExpr, w io.Writer) (failed bool) {
-	for _, e := range exprs {
-		num, okN := newR[e.num]
-		den, okD := newR[e.den]
-		if !okN || !okD {
-			fmt.Fprintf(w, "ratio %s/%s: MISSING benchmark (have %s=%v %s=%v)\n", e.num, e.den, e.num, okN, e.den, okD)
-			failed = true
-			continue
-		}
-		nv, okN := e.value(num)
-		dv, okD := e.value(den)
-		if !okN || !okD {
-			fmt.Fprintf(w, "ratio %s/%s: MISSING %s metric\n", e.num, e.den, e.unit)
-			failed = true
-			continue
-		}
-		got := nv / dv
-		status := "ok"
-		if got < e.min {
-			status = "RATIO BELOW BOUND"
-			failed = true
-		}
-		fmt.Fprintf(w, "ratio %s/%s = %.2fx (%s, want >= %.2fx)  %s\n", e.num, e.den, got, e.unit, e.min, status)
 	}
 	return failed
 }
 
 func main() {
 	var (
-		out       = flag.String("o", "", "write JSON report to this file (default stdout)")
-		doCompare = flag.Bool("compare", false, "compare two JSON reports: benchfmt -compare old.json new.json")
-		oldPath   = flag.String("old", "", "baseline JSON report; with -new, enters compare mode")
-		newPath   = flag.String("new", "", "candidate JSON report; with -old enters compare mode, with only -ratio checks that report alone")
-		hot       = flag.String("hot", "", "comma-separated benchmark names to gate on (default: all common)")
-		threshold = flag.Float64("threshold", 0.10, "allowed ns/op and allocs/op regression fraction in compare mode")
-		ratios    = flag.String("ratio", "", "comma-separated cross-benchmark assertions on the new report, e.g. 'BenchSeq/BenchBatch>=2:ns/op'")
+		out     = flag.String("o", "", "write the ledger to this file (default stdout)")
+		oldPath = flag.String("old", "", "baseline ledger to compare -new against")
+		newPath = flag.String("new", "", "ledger to check against the gate table, or to compare with -old")
 	)
 	flag.Parse()
-
-	ratioExprs, err := parseRatios(*ratios)
-	if err != nil {
+	die := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	var names []string
-	for _, n := range strings.Split(*hot, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
-		}
-	}
-
-	// Ratio-only mode: -new + -ratio with no baseline asserts cross-
-	// benchmark (and, via synthetic SLO rows, absolute) bounds against a
-	// single report — what `make load-gate` runs against loadgen output,
-	// where there is no meaningful "old" report to diff.
-	if *newPath != "" && *oldPath == "" {
-		if len(ratioExprs) == 0 || flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "benchfmt: -new without -old needs -ratio assertions (and no positional files)")
-			os.Exit(2)
-		}
-		newR, err := readReport(*newPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if checkRatios(newR, ratioExprs, os.Stdout) {
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *oldPath != "" || *newPath != "" {
-		if *oldPath == "" || *newPath == "" || flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "benchfmt: compare mode needs both -old and -new (and no positional files)")
-			os.Exit(2)
+		if *newPath == "" || flag.NArg() != 0 {
+			die(fmt.Errorf("benchfmt: -old needs -new, and neither takes positional files"))
 		}
-		failed, err := compare(*oldPath, *newPath, names, *threshold, os.Stdout)
+		newL, err := readLedger(*newPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			die(err)
 		}
-		if len(ratioExprs) > 0 {
-			newR, err := readReport(*newPath)
+		var failed bool
+		if *oldPath == "" {
+			failed = checkGates(newL.byName(), gates, os.Stdout)
+		} else {
+			oldL, err := readLedger(*oldPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				die(err)
 			}
-			if checkRatios(newR, ratioExprs, os.Stdout) {
-				failed = true
-			}
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *doCompare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchfmt: -compare needs exactly two report files")
-			os.Exit(2)
-		}
-		if len(names) == 0 {
-			fmt.Fprintln(os.Stderr, "benchfmt: -compare needs -hot benchmark names")
-			os.Exit(2)
-		}
-		failed, err := compare(flag.Arg(0), flag.Arg(1), names, *threshold, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			failed = compare(oldL, newL, os.Stdout)
 		}
 		if failed {
 			os.Exit(1)
@@ -371,26 +256,23 @@ func main() {
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
 		readers := make([]io.Reader, 0, flag.NArg())
-		for _, path := range flag.Args() {
-			f, err := os.Open(path)
+		for _, name := range flag.Args() {
+			f, err := os.Open(name)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				die(err)
 			}
 			defer f.Close()
 			readers = append(readers, f)
 		}
 		in = io.MultiReader(readers...)
 	}
-	results, err := parse(in)
+	ledger, err := parse(in)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		die(err)
 	}
-	data, err := json.MarshalIndent(results, "", "  ")
+	data, err := json.MarshalIndent(ledger, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		die(err)
 	}
 	data = append(data, '\n')
 	if *out == "" {
@@ -398,7 +280,6 @@ func main() {
 		return
 	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		die(err)
 	}
 }

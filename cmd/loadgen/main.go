@@ -1,7 +1,7 @@
 // Command loadgen replays seeded Zipf traffic mixes against a live PSP
 // (single pspd or a cluster gateway), optionally driving a chaos schedule
-// against an in-process selfhosted cluster, and writes benchfmt-compatible
-// JSON so `make load-gate` can enforce SLOs in CI.
+// against an in-process selfhosted cluster, and prints its results as Go
+// benchmark lines that cmd/benchfmt folds into the perf ledger.
 //
 // Two targeting modes:
 //
@@ -19,10 +19,9 @@
 //	-require-sheds            at least one 429 shed must have occurred
 //	-require-breaker-cycle    some breaker must have tripped AND recovered
 //
-// -o writes benchfmt rows (with synthetic LoadSLOHotGet/LoadSLOThumbnail
-// rows holding the -slo-hotget-p99 and -slo-thumb-p99 ceilings) so
-// `benchfmt -new rows.json -ratio ...` gates
-// absolute SLOs with the existing ratio machinery.
+// Stdout carries a digest and, under a `pkg: load` header, one
+// BenchmarkLoad<Route> row per route plus BenchmarkLoadOverall; the latency
+// and ok-per-op bounds on those rows live in cmd/benchfmt's gate table.
 package main
 
 import (
@@ -57,8 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		zipfS    = fs.Float64("zipf", 1.2, "Zipf skew for hot GET ranks")
 		chaos    = fs.String("chaos", "", `chaos schedule: "gate" for the builtin, or a JSON file (needs -selfhost)`)
 
-		sloHotP99     = fs.Duration("slo-hotget-p99", 0, "hot GET p99 ceiling encoded into the benchfmt SLO row")
-		sloThumbP99   = fs.Duration("slo-thumb-p99", 0, "1/8-scale thumbnail GET p99 ceiling encoded into the benchfmt SLO row")
 		maxUnexpected = fs.Int("max-unexpected", -1, "fail if unexpected client-visible failures exceed this (-1 = no gate)")
 		requireSheds  = fs.Bool("require-sheds", false, "fail unless 429 shedding was exercised")
 		requireCycle  = fs.Bool("require-breaker-cycle", false, "fail unless a breaker tripped AND recovered (selfhost only)")
@@ -68,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		gwAdmitQueue  = fs.Int("gw-admit-queue", 0, "selfhost gateway admission queue length")
 		shMaxInflight = fs.Int("shard-max-inflight", 0, "selfhost per-shard admission capacity (0 = default)")
 
-		outPath    = fs.String("o", "", "write benchfmt JSON rows here")
 		reportPath = fs.String("report", "", "write the full report JSON here")
 		verbose    = fs.Bool("v", false, "narrate progress and chaos events")
 	)
@@ -187,21 +183,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rep.Summary(stdout)
 	if *reportPath != "" {
 		if err := writeJSON(*reportPath, rep); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		err = rep.WriteBenchJSON(f, *sloHotP99, *sloThumbP99)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}

@@ -2,54 +2,37 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
 func TestRunSelfhostWritesBenchRows(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "rows.json")
 	rep := filepath.Join(dir, "report.json")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-selfhost", "3", "-seed", "1", "-duration", "400ms", "-workers", "2",
-		"-corpus", "3", "-slo-hotget-p99", "30s", "-max-unexpected", "0",
-		"-o", out, "-report", rep,
+		"-corpus", "3", "-max-unexpected", "0", "-report", rep,
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []struct {
-		Name       string             `json:"name"`
-		Iterations int64              `json:"iterations"`
-		NsPerOp    float64            `json:"ns_per_op"`
-		Metrics    map[string]float64 `json:"metrics"`
-	}
-	if err := json.Unmarshal(data, &rows); err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]map[string]float64{}
-	for _, r := range rows {
-		byName[r.Name] = r.Metrics
-	}
-	if _, ok := byName["LoadSLOHotGet"]; !ok {
-		t.Fatalf("rows missing SLO row: %s", data)
-	}
-	if m, ok := byName["LoadOverall"]; !ok || m["ok-per-op"] != 1 {
-		t.Fatalf("overall row bad: %v", byName)
+	// The rows are Go benchmark lines under a `pkg: load` header, which
+	// is what lets benchfmt tag them with the ledger's load layer.
+	out := stdout.String()
+	header := strings.Index(out, "\npkg: load\n")
+	overall := regexp.MustCompile(`(?m)^BenchmarkLoadOverall(-\d+)?\t\d+\t\d+ ns/op\t1 ok-per-op\t`).FindStringIndex(out)
+	if header < 0 || overall == nil || overall[0] < header {
+		t.Fatalf("stdout lacks a pkg: load header followed by an all-ok BenchmarkLoadOverall row:\n%s", out)
 	}
 	if _, err := os.Stat(rep); err != nil {
 		t.Fatalf("full report not written: %v", err)
 	}
-	if !strings.Contains(stdout.String(), "loadgen: seed=1") {
-		t.Fatalf("summary missing from stdout: %s", stdout.String())
+	if !strings.HasPrefix(out, "loadgen: seed=1") {
+		t.Fatalf("summary missing from stdout: %s", out)
 	}
 }
 

@@ -230,12 +230,15 @@ func TestBatchParityWithPSP(t *testing.T) {
 		tooMany = append(tooMany, batchPart{"application/json", "image", "", []byte(`{}`)})
 	}
 
+	// unterminated drops the closing delimiter, so the body ends inside
+	// its only part.
+	unterminated := func(body []byte) []byte { return body[:bytes.LastIndex(body, []byte("\r\n--"))] }
 	cases := []struct {
-		name     string
-		parts    []batchPart
-		rawEmpty bool // a literally empty request body
-		slow     bool
-		want     int // the PSP's envelope status; 0 checks parity only
+		name   string
+		parts  []batchPart
+		mangle func([]byte) []byte // rewrites the encoded body
+		slow   bool
+		want   int // the PSP's envelope status; 0 checks parity only
 	}{
 		{name: "raw-with-params", parts: []batchPart{image("p-raw"), paramsPart}, slow: true, want: http.StatusOK},
 		{name: "json-part", parts: []batchPart{jsonPart("p-json"), image("p-raw-2")}, slow: true, want: http.StatusOK},
@@ -244,14 +247,15 @@ func TestBatchParityWithPSP(t *testing.T) {
 		{name: "image-named-params", parts: []batchPart{{"image/jpeg", psp.BatchParamsPart, "p-named", jpeg}}, slow: true, want: http.StatusOK},
 		{name: "too-many-parts", parts: tooMany, want: http.StatusBadRequest},
 		{name: "zero-parts", want: http.StatusBadRequest},
-		{name: "empty-body", rawEmpty: true},
+		{name: "empty-body", mangle: func([]byte) []byte { return nil }, want: http.StatusBadRequest},
+		{name: "unterminated", parts: []batchPart{image("")}, mangle: unterminated, want: http.StatusBadRequest},
 	}
 	var stored []string
 	for _, tc := range cases {
 		slow.on.Store(tc.slow)
 		body, ct := multipartBody(t, tc.parts)
-		if tc.rawEmpty {
-			body = nil
+		if tc.mangle != nil {
+			body = tc.mangle(body)
 		}
 		wantStatus, wantRes := postRawBatch(t, singleSrv.URL, body, ct)
 		gotStatus, gotRes := postRawBatch(t, gwSrv.URL, body, ct)

@@ -17,8 +17,8 @@ func subsampledBenchJPEG(b *testing.B) []byte {
 // BenchmarkDecodeNative420 measures the native-subsampling decode path on a
 // 4:2:0 stream: chroma stays at quarter resolution, so the coefficient
 // working set is half the normalized one (coeff-bytes/op reports it; the
-// bench-compare gate vs BenchmarkDecodeNormalized420 checks the >=1.5x
-// reduction).
+// perf gate table checks the >=1.5x reduction against
+// BenchmarkDecodeNormalized420).
 func BenchmarkDecodeNative420(b *testing.B) {
 	data := subsampledBenchJPEG(b)
 	b.SetBytes(int64(len(data)))

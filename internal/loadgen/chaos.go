@@ -1,7 +1,7 @@
-// Package loadgen is the load & chaos harness behind `cmd/loadgen` and
-// `make load-gate`: a seeded Zipf traffic generator (closed- or open-loop)
-// that replays a realistic mix of PSP operations against a live pspd or
-// cluster gateway while a chaos schedule injects 503 bursts, latency
+// Package loadgen is the load & chaos harness behind `cmd/loadgen` and the
+// load run of `make perf`: a seeded Zipf traffic generator (closed- or
+// open-loop) that replays a realistic mix of PSP operations against a live
+// pspd or cluster gateway while a chaos schedule injects 503 bursts, latency
 // spikes, partitions, and shard kills — and then reports per-route latency
 // histograms plus an error taxonomy strict enough to gate on "zero
 // unexpected client-visible failures".
@@ -122,8 +122,8 @@ func (s *Schedule) End() time.Duration {
 	return end
 }
 
-// GateSchedule is the builtin schedule `make load-gate` runs against a
-// 3-shard cluster: a full 503 blackout on shard 0, a partial burst on
+// GateSchedule is the builtin schedule `make perf`'s load run drives
+// against a 3-shard cluster: a full 503 blackout on shard 0, a partial burst on
 // shard 1, then a partition of shard 2 — staggered so the replica quorum
 // (R=3, W=2) always has two healthy shards and a retrying client should
 // see zero terminal failures. The final ~30% of the run is fault-free so

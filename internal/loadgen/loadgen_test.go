@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,50 +222,65 @@ func TestClassifyTaxonomy(t *testing.T) {
 	}
 }
 
+// TestBenchRowsEncodeSLO: Summary prints every route, and the run as a
+// whole, as a Go benchmark line under a `pkg: load` header, carrying the
+// ops, latency quantiles and ok fraction the perf gate table bounds.
 func TestBenchRowsEncodeSLO(t *testing.T) {
 	rep := &Report{
 		Seed: 1,
 		Routes: map[string]RouteReport{
-			RouteHotGet: {Ops: 100, Latency: fakeSnapshot(100)},
-			RouteThumb:  {Ops: 40, Latency: fakeSnapshot(40)},
+			RouteHotGet: {Ops: 100, Unexpected: 1, Latency: fakeSnapshot(4_000_000)},
+			RouteThumb:  {Ops: 40, Latency: fakeSnapshot(3_000_000)},
 		},
+		Unexpected: 1,
 	}
-	rows := rep.BenchRows(250*time.Millisecond, 250*time.Millisecond)
-	byName := map[string]BenchRow{}
-	for _, row := range rows {
-		byName[row.Name] = row
+	var out strings.Builder
+	rep.Summary(&out)
+	type row struct {
+		ops     int64
+		metrics map[string]float64
 	}
-	slo, ok := byName["LoadSLOHotGet"]
-	if !ok {
-		t.Fatalf("rows missing SLO: %v", rows)
+	rows := map[string]row{}
+	line := regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\t(\d+)\t(.*)$`)
+	header := false
+	for _, l := range strings.Split(out.String(), "\n") {
+		if l == "pkg: load" {
+			header = true
+		}
+		m := line.FindStringSubmatch(l)
+		if m == nil {
+			continue
+		}
+		if !header {
+			t.Fatalf("row before the pkg: load header: %q", l)
+		}
+		if strings.Contains(m[1], "/") {
+			t.Fatalf("row name %q contains '/', which the gate grammar splits on", m[1])
+		}
+		r := row{metrics: map[string]float64{}}
+		r.ops, _ = strconv.ParseInt(m[3], 10, 64)
+		f := strings.Fields(m[4])
+		for i := 0; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				t.Fatalf("bad value in %q: %v", l, err)
+			}
+			r.metrics[f[i+1]] = v
+		}
+		rows[m[1]] = r
 	}
-	if slo.Metrics["p99-ns"] != float64(250*time.Millisecond) || slo.Metrics["ok-per-op"] != 1 {
-		t.Fatalf("slo row %+v", slo)
-	}
-	hot := byName["LoadHotGet"]
-	if hot.Iterations != 100 || hot.Metrics["ok-per-op"] != 1 {
+	hot, ok := rows["BenchmarkLoadHotGet"]
+	if !ok || hot.ops != 100 || hot.metrics["p99-ns"] != 4e6 || hot.metrics["ok-per-op"] != 0.99 || hot.metrics["err-per-op"] != 0.01 {
 		t.Fatalf("hot row %+v", hot)
 	}
-	tslo, ok := byName["LoadSLOThumbnail"]
-	if !ok {
-		t.Fatalf("rows missing thumbnail SLO: %v", rows)
-	}
-	if tslo.Metrics["p99-ns"] != float64(250*time.Millisecond) || tslo.Metrics["ok-per-op"] != 1 {
-		t.Fatalf("thumbnail slo row %+v", tslo)
-	}
-	if thumb := byName["LoadThumbnail"]; thumb.Iterations != 40 {
+	if thumb := rows["BenchmarkLoadThumbnail"]; thumb.ops != 40 || thumb.metrics["p99-ns"] != 3e6 || thumb.metrics["ok-per-op"] != 1 {
 		t.Fatalf("thumbnail row %+v", thumb)
 	}
-	// The gate ratio must hold exactly when p99 is under the ceiling.
-	if slo.Metrics["p99-ns"]/hot.Metrics["p99-ns"] < 1 {
-		t.Fatalf("gate ratio below 1: slo=%v hot=%v", slo.Metrics["p99-ns"], hot.Metrics["p99-ns"])
+	all := rows["BenchmarkLoadOverall"]
+	if all.ops != 140 || all.metrics["ok-per-op"] != 139.0/140 || all.metrics["ns/op"] != math.Round((100*4e6+40*3e6)/140) {
+		t.Fatalf("overall row %+v", all)
 	}
-	// Row names must be slash-free for benchfmt's ratio grammar.
-	for _, row := range rows {
-		for _, r := range row.Name {
-			if r == '/' {
-				t.Fatalf("row name %q contains '/'", row.Name)
-			}
-		}
+	if len(rows) != 3 {
+		t.Fatalf("printed rows %v, want hot GET, thumbnail and overall", rows)
 	}
 }

@@ -1,10 +1,9 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"time"
+	"runtime"
 
 	"puppies/internal/cluster"
 	"puppies/internal/psp"
@@ -38,7 +37,7 @@ type ClusterReport struct {
 }
 
 // Report is a full load run's result, serializable for archiving next to
-// the benchfmt rows.
+// the perf ledger.
 type Report struct {
 	Seed              int64                  `json:"seed"`
 	DurationSec       float64                `json:"durationSec"`
@@ -66,120 +65,52 @@ func (r *Report) TotalOps() uint64 {
 // gates on.
 func (r *Report) Sheds() uint64 { return r.Client.Overloaded + r.ItemSheds }
 
-// BenchRow is one benchfmt-compatible JSON result row; field names match
-// cmd/benchfmt's Result so `benchfmt -new BENCH_PR8.json -ratio ...` reads
-// loadgen output directly.
-type BenchRow struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
-}
-
-// benchRouteNames maps report routes to benchfmt row names. Slash-free on
-// purpose: benchfmt's ratio grammar splits NUM/DEN on '/'.
+// benchRouteNames maps report routes to the benchmark rows Summary
+// prints. Slash-free on purpose: the perf gate table splits NUM/DEN on '/'.
 var benchRouteNames = map[string]string{
-	RouteHotGet:  "LoadHotGet",
-	RouteColdGet: "LoadColdGet",
-	RouteUpload:  "LoadUpload",
-	RouteBatch:   "LoadBatch",
-	RouteRecover: "LoadRecover",
-	RouteSearch:  "LoadSearch",
-	RouteThumb:   "LoadThumbnail",
+	RouteHotGet:  "BenchmarkLoadHotGet",
+	RouteColdGet: "BenchmarkLoadColdGet",
+	RouteUpload:  "BenchmarkLoadUpload",
+	RouteBatch:   "BenchmarkLoadBatch",
+	RouteRecover: "BenchmarkLoadRecover",
+	RouteSearch:  "BenchmarkLoadSearch",
+	RouteThumb:   "BenchmarkLoadThumbnail",
 }
 
-// BenchRows renders the report as benchfmt rows. Each route row carries
-// its latency quantiles and ok/err fractions; LoadOverall aggregates the
-// run; LoadSLOHotGet and LoadSLOThumbnail are synthetic rows holding the
-// SLO bounds so a plain benchfmt ratio check becomes an absolute gate:
-//
-//	LoadSLOHotGet/LoadHotGet       >= 1 : p99-ns   (hot GET p99 under ceiling)
-//	LoadSLOThumbnail/LoadThumbnail >= 1 : p99-ns   (1/8-scale GET p99 under ceiling)
-//	LoadOverall/LoadSLOHotGet      >= 1 : ok-per-op (zero unexpected failures)
-func (r *Report) BenchRows(sloHotGetP99, sloThumbP99 time.Duration) []BenchRow {
-	rows := make([]BenchRow, 0, len(r.Routes)+2)
-	for _, route := range sortedRoutes(r.Routes) {
-		rr := r.Routes[route]
-		ok := float64(rr.Ops-rr.Unexpected) / float64(rr.Ops)
-		rows = append(rows, BenchRow{
-			Name:       benchRouteNames[route],
-			Iterations: int64(rr.Ops),
-			NsPerOp:    rr.Latency.MeanNs,
-			Metrics: map[string]float64{
-				"p50-ns":     float64(rr.Latency.P50Ns),
-				"p90-ns":     float64(rr.Latency.P90Ns),
-				"p99-ns":     float64(rr.Latency.P99Ns),
-				"ok-per-op":  ok,
-				"err-per-op": float64(rr.Unexpected) / float64(rr.Ops),
-			},
-		})
-	}
-	total := r.TotalOps()
-	if total > 0 {
-		var meanNs float64
-		for _, rr := range r.Routes {
-			meanNs += rr.Latency.MeanNs * float64(rr.Ops)
-		}
-		rows = append(rows, BenchRow{
-			Name:       "LoadOverall",
-			Iterations: int64(total),
-			NsPerOp:    meanNs / float64(total),
-			Metrics: map[string]float64{
-				"ok-per-op":  float64(total-r.Unexpected) / float64(total),
-				"err-per-op": float64(r.Unexpected) / float64(total),
-				"shed-count": float64(r.Sheds()),
-				"retries":    float64(r.Client.Retries),
-			},
-		})
-	}
-	if sloHotGetP99 > 0 {
-		rows = append(rows, BenchRow{
-			Name:       "LoadSLOHotGet",
-			Iterations: 1,
-			NsPerOp:    1,
-			Metrics: map[string]float64{
-				"p99-ns":    float64(sloHotGetP99.Nanoseconds()),
-				"ok-per-op": 1,
-			},
-		})
-	}
-	if sloThumbP99 > 0 {
-		rows = append(rows, BenchRow{
-			Name:       "LoadSLOThumbnail",
-			Iterations: 1,
-			NsPerOp:    1,
-			Metrics: map[string]float64{
-				"p99-ns":    float64(sloThumbP99.Nanoseconds()),
-				"ok-per-op": 1,
-			},
-		})
-	}
-	return rows
-}
-
-// WriteBenchJSON writes the rows as indented JSON (the BENCH_PR8.json
-// artifact).
-func (r *Report) WriteBenchJSON(w io.Writer, sloHotGetP99, sloThumbP99 time.Duration) error {
-	data, err := json.MarshalIndent(r.BenchRows(sloHotGetP99, sloThumbP99), "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// Summary renders a human-readable digest for the CLI.
+// Summary renders the run for the CLI: a digest line, then the perf
+// ledger's load layer as Go benchmark lines under a `pkg: load` header —
+// one row per route with its latency quantiles and ok/err fractions, and
+// BenchmarkLoadOverall for the whole run — then per-route error classes,
+// cluster evidence and unexpected-failure samples. cmd/benchfmt reads the
+// rows straight from this output and skips every other line.
 func (r *Report) Summary(w io.Writer) {
 	fmt.Fprintf(w, "loadgen: seed=%d mode=%s duration=%.2fs ops=%d unexpected=%d sheds=%d retries=%d\n",
 		r.Seed, r.Mode, r.DurationSec, r.TotalOps(), r.Unexpected, r.Sheds(), r.Client.Retries)
+	// Like `go test`, suffix the row names with GOMAXPROCS unless it is 1.
+	procs := ""
+	if n := runtime.GOMAXPROCS(0); n != 1 {
+		procs = fmt.Sprintf("-%d", n)
+	}
+	fmt.Fprintln(w, "pkg: load")
+	var meanNs float64
 	for _, route := range sortedRoutes(r.Routes) {
 		rr := r.Routes[route]
-		fmt.Fprintf(w, "  %-8s ops=%-6d p50=%-10v p99=%-10v errs=%v\n",
-			route, rr.Ops,
-			time.Duration(rr.Latency.P50Ns).Round(time.Microsecond),
-			time.Duration(rr.Latency.P99Ns).Round(time.Microsecond),
-			rr.Errors)
+		meanNs += rr.Latency.MeanNs * float64(rr.Ops)
+		fmt.Fprintf(w, "%s%s\t%d\t%.0f ns/op\t%d p50-ns\t%d p90-ns\t%d p99-ns\t%g ok-per-op\t%g err-per-op\n",
+			benchRouteNames[route], procs, rr.Ops, rr.Latency.MeanNs,
+			rr.Latency.P50Ns, rr.Latency.P90Ns, rr.Latency.P99Ns,
+			float64(rr.Ops-rr.Unexpected)/float64(rr.Ops), float64(rr.Unexpected)/float64(rr.Ops))
+	}
+	if total := r.TotalOps(); total > 0 {
+		fmt.Fprintf(w, "BenchmarkLoadOverall%s\t%d\t%.0f ns/op\t%g ok-per-op\t%g err-per-op\t%d shed-count\t%d retries\n",
+			procs, total, meanNs/float64(total),
+			float64(total-r.Unexpected)/float64(total), float64(r.Unexpected)/float64(total),
+			r.Sheds(), r.Client.Retries)
+	}
+	for _, route := range sortedRoutes(r.Routes) {
+		if errs := r.Routes[route].Errors; len(errs) > 0 {
+			fmt.Fprintf(w, "  %-8s errs=%v\n", route, errs)
+		}
 	}
 	if r.Cluster != nil {
 		fmt.Fprintf(w, "  cluster  gatewaySheds=%d breakerOpens=%d breakerRecoveries=%d openBreakers=%d failovers=%d hedges=%d\n",

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestSoakChaosZipf is the in-process version of `make load-gate`: a
+// TestSoakChaosZipf is the in-process version of `make perf`'s load run: a
 // 3-shard cluster with a deliberately tiny gateway admission capacity,
 // Zipf traffic from several closed-loop workers, and the builtin gate
 // schedule (full 503 blackout, partial burst, partition) running

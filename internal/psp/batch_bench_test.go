@@ -70,7 +70,7 @@ func BenchmarkUploadSequential(b *testing.B) {
 // streaming multipart POST /v1/images:batch. One request amortizes the
 // HTTP round trips and the server validates parts on the worker pool, so
 // throughput per core must stay well ahead of the sequential loop (the
-// bench-compare gate holds it to >=2x).
+// perf gate table holds it to >=2x).
 func BenchmarkUploadBatch(b *testing.B) {
 	ts := httptest.NewServer(NewServer().Handler())
 	defer ts.Close()

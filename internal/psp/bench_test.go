@@ -28,7 +28,7 @@ func benchJPEG(b *testing.B) []byte {
 
 // benchThumbSpec is the canonical 1/8-scale thumbnail — the same spec the
 // load generator's thumbnail route requests. The Cold/Thumbnail benchmark
-// pair below serves this one spec so the thumb-gate ratio is like-for-like.
+// pair below serves this one spec so their gated ratio is like-for-like.
 var benchThumbSpec = transform.Spec{Op: transform.OpScale, FactorX: 0.125, FactorY: 0.125}
 
 // benchServer stores the bench fixture with params (nil for an unprotected
@@ -61,8 +61,8 @@ func serveOnce(b *testing.B, h http.Handler, path string) *httptest.ResponseReco
 // optimized re-encode per request — what every thumbnail request cost
 // before the scaled-decode path. The fixture is stored with public
 // parameters, so the production rule for protected images serves it down
-// the full path (the thumb-gate baseline the scaled-decode rows are
-// compared against).
+// the full path (the baseline the scaled-decode rows are compared
+// against).
 func BenchmarkServeTransformedCold(b *testing.B) {
 	_, h, path := benchServer(b, -1, -1, benchParams)
 	serveOnce(b, h, path) // warm pools, fault in code paths
@@ -77,7 +77,7 @@ func BenchmarkServeTransformedCold(b *testing.B) {
 // cache is warm (a grid client requests many variants of the same image,
 // so entropy decode amortizes) but every served variant is computed from
 // coefficients — reduced IDCT, residual resample, FDCT over the small
-// plane, encode. The thumb-gate requires this ≥5x faster than
+// plane, encode. The perf gate table requires this ≥5x faster than
 // BenchmarkServeTransformedCold.
 func BenchmarkServeThumbnailCold(b *testing.B) {
 	benchThumbnailCold(b, nil)

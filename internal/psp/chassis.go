@@ -251,6 +251,17 @@ func (c *Chassis) ServeBatch(w http.ResponseWriter, r *http.Request, limit int64
 			httpError(w, status, format, args...)
 		}
 	}
+	// broken answers an envelope that stopped parsing. A client that went
+	// away has no one to answer, and an incomplete result list must not
+	// masquerade as the batch outcome; a body that arrived but is not
+	// well-formed multipart is the client's error.
+	broken := func(err error) {
+		if r.Context().Err() != nil {
+			fail(0, "")
+			return
+		}
+		fail(http.StatusBadRequest, "malformed batch body: %v", err)
+	}
 	for i := 0; ; i++ {
 		part, err := mr.NextPart()
 		if err == io.EOF {
@@ -262,10 +273,7 @@ func (c *Chassis) ServeBatch(w http.ResponseWriter, r *http.Request, limit int64
 				fail(http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", mbe.Limit)
 				return
 			}
-			// The stream died mid-batch (client abort, network cut): there
-			// is no one to answer, and an incomplete result list must not
-			// masquerade as the batch outcome.
-			fail(0, "")
+			broken(err)
 			return
 		}
 		if i >= batchMaxParts {
@@ -294,7 +302,7 @@ func (c *Chassis) ServeBatch(w http.ResponseWriter, r *http.Request, limit int64
 				fail(http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", mbe.Limit)
 				return
 			}
-			fail(0, "")
+			broken(rerr)
 			return
 		}
 

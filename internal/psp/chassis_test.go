@@ -68,8 +68,8 @@ func FuzzBatchMultipart(f *testing.F) {
 			}
 			return BatchResult{ID: "stored"}
 		})
-		if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
-			return // a rejected envelope, or a stream that died mid-batch
+		if rec.Code != http.StatusOK {
+			return // a rejected envelope
 		}
 		var br BatchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {

@@ -367,9 +367,17 @@ func (ix *Index) probePhase(variants []Signature, k int) *topK {
 			ds := ix.dirFor(key)
 			ds.mu.RLock()
 			for _, pk := range ds.buckets[key] {
+				limit := top.limit()
+				if limit == 0 {
+					// k exact matches are in hand and no distance is below
+					// zero, so nothing later can enter the set. Without this
+					// stop, a bucket of exact duplicates (the same image
+					// uploaded many times) is walked to its end.
+					ds.mu.RUnlock()
+					return top
+				}
 				sg := &ix.segs[pk>>segShift]
 				pos := pk & (1<<segShift - 1)
-				limit := top.limit()
 				if limit != ^uint32(0) {
 					if limit < prior {
 						continue

@@ -231,3 +231,26 @@ func TestConcurrentAddLookup(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", n, 4*200)
 	}
 }
+
+// TestLookupExactDuplicatesStopsEarly: the upload path's dedup hint asks
+// for the single nearest stored image. With many exact copies of one
+// signature stored, the answer is the first copy added, at distance 0, and
+// its cost must not grow with the number of copies.
+func TestLookupExactDuplicatesStopsEarly(t *testing.T) {
+	sig := randomSig(rand.New(rand.NewSource(21)))
+	allocsAt := func(copies int) float64 {
+		ix := New()
+		for i := 0; i < copies; i++ {
+			ix.Add(fmt.Sprintf("dup-%05d", i), sig)
+		}
+		res := ix.Lookup(sig, 1)
+		if len(res) != 1 || res[0].ID != "dup-00000" || res[0].Distance != 0 {
+			t.Fatalf("%d copies: Lookup = %+v, want dup-00000 at distance 0", copies, res)
+		}
+		return testing.AllocsPerRun(20, func() { ix.Lookup(sig, 1) })
+	}
+	small, large := allocsAt(16), allocsAt(4096)
+	if large > small {
+		t.Fatalf("Lookup allocs grow with duplicates: %.0f at 4096 copies, %.0f at 16", large, small)
+	}
+}
